@@ -36,10 +36,7 @@ Two layers:
     (near) free when off and cheap when on;
   * ``sweep_transport_bytes`` — pickled campaign payload per sweep point in
     ``reduce="traces"`` vs ``reduce="stats"`` worker mode: the bytes a worker
-    ships back through the process pool for one grid point;
-  * ``chunksize`` — ``parallel_map`` wall-clock on many tiny units with the
-    historical ``chunksize=1`` vs the batched default (one pickle round-trip
-    per chunk instead of per unit).
+    ships back through the process pool for one grid point.
 """
 
 from __future__ import annotations
@@ -53,19 +50,21 @@ from pathlib import Path
 
 from repro.core.rltf import rltf_schedule
 from repro.experiments.config import ExperimentConfig, workload_period
-from repro.experiments.parallel import parallel_map, run_runtime_campaign
+from repro.experiments.parallel import run_runtime_campaign
 from repro.failures.scenarios import FaultEvent, FaultTrace
 from repro.graph.generator import random_paper_workload
 from repro.runtime.engine import OnlineRuntime
-from repro.runtime.montecarlo import RuntimeTrialSpec
+from repro.scenario import ScenarioSpec
 from repro.utils.ascii import format_table
 
-SPEC = RuntimeTrialSpec(
-    num_tasks=25,
-    num_processors=8,
-    epsilon=1,
-    num_datasets=100,
-    mttf_periods=80.0,
+SPEC = ScenarioSpec(name="runtime-trial").updated(
+    {
+        "workload.num_tasks": 25,
+        "workload.num_processors": 8,
+        "scheduler.epsilon": 1,
+        "runtime.num_datasets": 100,
+        "faults.mttf_periods": 80.0,
+    }
 )
 
 
@@ -152,11 +151,6 @@ def _long_stream_case():
     return rltf_schedule(workload.graph, workload.platform, period=period, epsilon=2)
 
 
-def _bench_unit(x: int) -> int:
-    """A deliberately tiny work unit: transport dominates, compute does not."""
-    return x * x
-
-
 def _stats_match(a, b) -> bool:
     """Field-wise RuntimeStats equality that treats NaN as matching NaN.
 
@@ -230,7 +224,7 @@ def run_report(smoke: bool = False) -> dict:
 
     campaign_seconds = _time(
         lambda: run_runtime_campaign(
-            SPEC.with_overrides(num_datasets=60 if smoke else 100),
+            SPEC.updated({"runtime.num_datasets": 60 if smoke else 100}),
             trials=trials,
             seed=0,
             jobs=1,
@@ -283,7 +277,7 @@ def run_report(smoke: bool = False) -> dict:
     )
 
     # --- per-point transport of the two worker reductions
-    transport_spec = SPEC.with_overrides(num_datasets=200).to_scenario()
+    transport_spec = SPEC.updated({"runtime.num_datasets": 200})
     transport_trials = 3 if smoke else 10
     full = run_runtime_campaign(transport_spec, trials=transport_trials, seed=0)
     lean = run_runtime_campaign(
@@ -296,13 +290,6 @@ def run_report(smoke: bool = False) -> dict:
         )
     traces_bytes = len(pickle.dumps(full))
     stats_bytes = len(pickle.dumps(lean))
-
-    # --- chunksize: many tiny units through a 2-worker pool
-    units = list(range(2_000 if smoke else 10_000))
-    chunk1 = _time(
-        lambda: parallel_map(_bench_unit, units, jobs=2, chunksize=1), repeat
-    )
-    chunk_auto = _time(lambda: parallel_map(_bench_unit, units, jobs=2), repeat)
 
     return {
         "smoke": smoke,
@@ -352,12 +339,6 @@ def run_report(smoke: bool = False) -> dict:
             "stats": stats_bytes,
             "reduction_factor": traces_bytes / stats_bytes if stats_bytes else 0.0,
         },
-        "chunksize": {
-            "units": len(units),
-            "chunksize_1_seconds": chunk1,
-            "auto_chunksize_seconds": chunk_auto,
-            "speedup": chunk1 / chunk_auto if chunk_auto else 0.0,
-        },
     }
 
 
@@ -377,7 +358,6 @@ def main(argv=None) -> int:
         return run_ff_smoke()
     report = run_report(smoke=args.smoke)
     transport = report["sweep_transport_bytes"]
-    chunk = report["chunksize"]
     rows = [
         ["campaign (s)", f"{report['campaign']['seconds']:.3f}"],
         ["multi-segment incremental (s)", f"{report['multisegment']['incremental_seconds']:.3f}"],
@@ -406,9 +386,6 @@ def main(argv=None) -> int:
         ["sweep point payload (traces)", f"{transport['traces']:,} B"],
         ["sweep point payload (stats)", f"{transport['stats']:,} B"],
         ["transport reduction", f"{transport['reduction_factor']:.1f}x"],
-        [f"chunksize=1 ({chunk['units']:,} tiny units)", f"{chunk['chunksize_1_seconds']:.3f}"],
-        ["auto chunksize", f"{chunk['auto_chunksize_seconds']:.3f}"],
-        ["chunksize speedup", f"{chunk['speedup']:.2f}x"],
     ]
     print(format_table(["benchmark", "value"], rows, title="online runtime benchmark"))
     if args.output:

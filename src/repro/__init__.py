@@ -94,8 +94,6 @@ from repro.runtime import (
     OnlineRuntime,
     run_online,
     RuntimeTrace,
-    RuntimeTrialSpec,
-    run_trial,
     summarize_traces,
 )
 from repro.baselines import (
@@ -224,8 +222,6 @@ __all__ = [
     "OnlineRuntime",
     "run_online",
     "RuntimeTrace",
-    "RuntimeTrialSpec",
-    "run_trial",
     "summarize_traces",
     # baselines
     "heft_schedule",

@@ -92,6 +92,7 @@ prints the same machine-readable document the results endpoint serves::
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 import time
 from pathlib import Path
@@ -101,6 +102,10 @@ from repro.experiments import figures as fig
 from repro.experiments.config import bench_config, paper_config
 from repro.experiments.reporting import render_example_rows, render_series
 from repro.experiments.tables import figure1_scenarios, figure2_example
+from repro.failures.scenarios import FAULT_DISTRIBUTIONS
+from repro.runtime.admission import ADMISSION_POLICIES
+from repro.runtime.policies import RESCHEDULE_POLICIES
+from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -181,203 +186,172 @@ def _mttr_value(text: str) -> float | None:
     """``--mttr`` argument: a float, or ``none``/``inf`` for fail-stop."""
     if text.lower() in ("none", "inf"):
         return None
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r} (a number of stream periods, or 'none')"
+        ) from None
 
 
-def _add_spec_options(p: argparse.ArgumentParser, suppress: bool = False) -> None:
-    """The scenario-building flags shared by ``runtime`` and ``config``.
+#: The scenario-building flags shared by ``runtime`` and ``config``:
+#: ``(flag, dotted spec path, help, add_argument keywords[, flag → spec
+#: value])``.  Each default is the ``ScenarioSpec()`` value at the path; the
+#: ``--no-*`` switches negate a spec field that defaults to true.
+_SPEC_FLAGS: tuple[tuple, ...] = (
+    ("--datasets", "runtime.num_datasets", "data sets per trial", {"type": int}),
+    ("--epsilon", "scheduler.epsilon", "fault-tolerance degree ε", {"type": int}),
+    ("--granularity", "workload.granularity", "workload granularity", {"type": float}),
+    ("--tasks", "workload.num_tasks", "tasks per random workload", {"type": int}),
+    ("--processors", "workload.num_processors", "platform size", {"type": int}),
+    (
+        "--mttf",
+        "faults.mttf_periods",
+        "mean time to failure per processor, in stream periods",
+        {"type": float},
+    ),
+    (
+        "--mttr",
+        "faults.mttr_periods",
+        "mean time to repair, in stream periods; 'none' = fail-stop "
+        "(default: no repair)",
+        {"type": _mttr_value},
+    ),
+    (
+        "--distribution",
+        "faults.distribution",
+        "inter-failure time distribution",
+        {"choices": FAULT_DISTRIBUTIONS},
+    ),
+    ("--weibull-shape", "faults.weibull_shape", "Weibull shape parameter", {"type": float}),
+    (
+        "--repair-shape",
+        "faults.repair_shape",
+        "Weibull shape for repair delays (mean stays --mttr); "
+        "default: exponential repairs",
+        {"type": float},
+    ),
+    (
+        "--fault-trace",
+        "faults.trace_file",
+        "replay a recorded availability log (time,node,down|up CSV) "
+        "instead of sampling failures; excludes the other fault flags",
+        {"metavar": "CSV"},
+    ),
+    (
+        "--group-size",
+        "faults.group_size",
+        "correlated crash groups: processors fail (and repair) together "
+        "in declaration-order chunks of this size",
+        {"type": int},
+    ),
+    (
+        "--load-coupling",
+        "faults.load_coupling",
+        "load-dependent hazards: failure intensity scales with "
+        "1 + coupling × processor utilization in the initial schedule",
+        {"type": float},
+    ),
+    (
+        "--spares",
+        "faults.spares",
+        "elastic platform: this many processors start outside the "
+        "platform and join mid-stream (requires --join-periods)",
+        {"type": int},
+    ),
+    (
+        "--join-periods",
+        "faults.join_periods",
+        "mean node-join delay, in stream periods (with --spares/--preempt-periods)",
+        {"type": float},
+    ),
+    (
+        "--preempt-periods",
+        "faults.preempt_periods",
+        "spot-preemption mean time between preemptions, in stream "
+        "periods (preempted nodes rejoin after --join-periods)",
+        {"type": float},
+    ),
+    (
+        "--policy",
+        "runtime.policy",
+        "online rescheduling policy",
+        {"choices": RESCHEDULE_POLICIES.names},
+    ),
+    (
+        "--admission",
+        "runtime.admission",
+        "admission policy during downtime/throttling (shed drops, queue buffers)",
+        {"choices": ADMISSION_POLICIES.names},
+    ),
+    (
+        "--queue-capacity",
+        "runtime.queue_capacity",
+        "admission buffer size for --admission queue (0 = unbounded)",
+        {"type": int},
+        lambda v: None if v == 0 else v,
+    ),
+    (
+        "--no-checkpoint",
+        "runtime.checkpoint",
+        "disable checkpoint/restart: legacy flush-and-restart execution "
+        "(in-flight data sets do not survive a rebuild)",
+        {"action": "store_true"},
+        operator.not_,
+    ),
+    (
+        "--rebuild-on-repair",
+        "runtime.rebuild_on_repair",
+        "anticipatory rebuilds on repair events (only when a speculative "
+        "reschedule shows the repaired processor improves the schedule)",
+        {"action": "store_true"},
+    ),
+    (
+        "--rebuild-overhead",
+        "runtime.rebuild_overhead",
+        "rebuild downtime, in stream periods",
+        {"type": float},
+    ),
+    (
+        "--no-fast-forward",
+        "runtime.fast_forward",
+        "disable the analytic steady-state fast forward (quiet stretches "
+        "are then simulated event by event; results are bit-identical "
+        "either way)",
+        {"action": "store_true"},
+        operator.not_,
+    ),
+)
+
+
+def _add_spec_flags(p: argparse.ArgumentParser, suppress: bool = False) -> None:
+    """Add every :data:`_SPEC_FLAGS` row to *p*.
 
     With ``suppress=True`` the flags have no defaults (``argparse.SUPPRESS``):
     only flags the user actually typed land in the namespace, so ``config``
     can apply them as *overrides* on top of a scenario file.
     """
-
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    p.add_argument("--datasets", type=int, default=default(200), help="data sets per trial")
-    p.add_argument("--epsilon", type=int, default=default(2), help="fault-tolerance degree ε")
-    p.add_argument(
-        "--granularity", type=float, default=default(1.0), help="workload granularity"
-    )
-    p.add_argument("--tasks", type=int, default=default(30), help="tasks per random workload")
-    p.add_argument("--processors", type=int, default=default(10), help="platform size")
-    p.add_argument(
-        "--mttf",
-        type=float,
-        default=default(500.0),
-        help="mean time to failure per processor, in stream periods",
-    )
-    p.add_argument(
-        "--mttr",
-        type=_mttr_value,
-        default=default(None),
-        help=(
-            "mean time to repair, in stream periods; 'none' = fail-stop "
-            "(default: no repair)"
-        ),
-    )
-    p.add_argument(
-        "--distribution",
-        choices=("exponential", "weibull"),
-        default=default("exponential"),
-        help="inter-failure time distribution",
-    )
-    p.add_argument(
-        "--weibull-shape", type=float, default=default(1.5), help="Weibull shape parameter"
-    )
-    p.add_argument(
-        "--repair-shape",
-        type=float,
-        default=default(None),
-        help=(
-            "Weibull shape for repair delays (mean stays --mttr); "
-            "default: exponential repairs"
-        ),
-    )
-    p.add_argument(
-        "--fault-trace",
-        default=default(None),
-        metavar="CSV",
-        help=(
-            "replay a recorded availability log (time,node,down|up CSV) "
-            "instead of sampling failures; excludes the other fault flags"
-        ),
-    )
-    p.add_argument(
-        "--group-size",
-        type=int,
-        default=default(None),
-        help=(
-            "correlated crash groups: processors fail (and repair) together "
-            "in declaration-order chunks of this size"
-        ),
-    )
-    p.add_argument(
-        "--load-coupling",
-        type=float,
-        default=default(0.0),
-        help=(
-            "load-dependent hazards: failure intensity scales with "
-            "1 + coupling × processor utilization in the initial schedule"
-        ),
-    )
-    p.add_argument(
-        "--spares",
-        type=int,
-        default=default(0),
-        help=(
-            "elastic platform: this many processors start outside the "
-            "platform and join mid-stream (requires --join-periods)"
-        ),
-    )
-    p.add_argument(
-        "--join-periods",
-        type=float,
-        default=default(None),
-        help="mean node-join delay, in stream periods (with --spares/--preempt-periods)",
-    )
-    p.add_argument(
-        "--preempt-periods",
-        type=float,
-        default=default(None),
-        help=(
-            "spot-preemption mean time between preemptions, in stream "
-            "periods (preempted nodes rejoin after --join-periods)"
-        ),
-    )
-    from repro.runtime.admission import ADMISSION_POLICIES
-    from repro.runtime.policies import RESCHEDULE_POLICIES
-
-    p.add_argument(
-        "--policy",
-        choices=RESCHEDULE_POLICIES.names,
-        default=default("rltf"),
-        help="online rescheduling policy",
-    )
-    p.add_argument(
-        "--admission",
-        choices=ADMISSION_POLICIES.names,
-        default=default("shed"),
-        help="admission policy during downtime/throttling (shed drops, queue buffers)",
-    )
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=default(64),
-        help="admission buffer size for --admission queue (0 = unbounded)",
-    )
-    p.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        default=default(False),
-        help=(
-            "disable checkpoint/restart: legacy flush-and-restart execution "
-            "(in-flight data sets do not survive a rebuild)"
-        ),
-    )
-    p.add_argument(
-        "--rebuild-on-repair",
-        action="store_true",
-        default=default(False),
-        help=(
-            "anticipatory rebuilds on repair events (only when a speculative "
-            "reschedule shows the repaired processor improves the schedule)"
-        ),
-    )
-    p.add_argument(
-        "--rebuild-overhead",
-        type=float,
-        default=default(1.0),
-        help="rebuild downtime, in stream periods",
-    )
-    p.add_argument(
-        "--no-fast-forward",
-        action="store_true",
-        default=default(False),
-        help=(
-            "disable the analytic steady-state fast forward (quiet stretches "
-            "are then simulated event by event; results are bit-identical "
-            "either way)"
-        ),
-    )
-
-
-#: argparse dest → (dotted spec path, value transform) for the spec flags.
-_FLAG_PATHS: dict[str, tuple[str, Callable]] = {
-    "datasets": ("runtime.num_datasets", lambda v: v),
-    "epsilon": ("scheduler.epsilon", lambda v: v),
-    "granularity": ("workload.granularity", lambda v: v),
-    "tasks": ("workload.num_tasks", lambda v: v),
-    "processors": ("workload.num_processors", lambda v: v),
-    "mttf": ("faults.mttf_periods", lambda v: v),
-    "mttr": ("faults.mttr_periods", lambda v: v),
-    "distribution": ("faults.distribution", lambda v: v),
-    "weibull_shape": ("faults.weibull_shape", lambda v: v),
-    "repair_shape": ("faults.repair_shape", lambda v: v),
-    "fault_trace": ("faults.trace_file", lambda v: v),
-    "group_size": ("faults.group_size", lambda v: v),
-    "load_coupling": ("faults.load_coupling", lambda v: v),
-    "spares": ("faults.spares", lambda v: v),
-    "join_periods": ("faults.join_periods", lambda v: v),
-    "preempt_periods": ("faults.preempt_periods", lambda v: v),
-    "policy": ("runtime.policy", lambda v: v),
-    "admission": ("runtime.admission", lambda v: v),
-    "queue_capacity": ("runtime.queue_capacity", lambda v: None if v == 0 else v),
-    "no_checkpoint": ("runtime.checkpoint", lambda v: not v),
-    "no_fast_forward": ("runtime.fast_forward", lambda v: not v),
-    "rebuild_on_repair": ("runtime.rebuild_on_repair", lambda v: v),
-    "rebuild_overhead": ("runtime.rebuild_overhead", lambda v: v),
-}
+    spec = ScenarioSpec()
+    for flag, path, help_text, options, *_ in _SPEC_FLAGS:
+        if suppress:
+            default = argparse.SUPPRESS
+        elif options.get("action") == "store_true":
+            default = False
+        else:
+            section, field = path.split(".")
+            default = getattr(getattr(spec, section), field)
+        p.add_argument(flag, default=default, help=help_text, **options)
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
     """Dotted-path overrides for the spec flags present in *args*."""
-    return {
-        path: transform(getattr(args, dest))
-        for dest, (path, transform) in _FLAG_PATHS.items()
-        if hasattr(args, dest)
-    }
+    overrides = {}
+    for flag, path, _help, _options, *transform in _SPEC_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if hasattr(args, dest):
+            value = getattr(args, dest)
+            overrides[path] = transform[0](value) if transform else value
+    return overrides
 
 
 def _add_runtime_parser(sub) -> None:
@@ -388,7 +362,7 @@ def _add_runtime_parser(sub) -> None:
     p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
     p.add_argument("--trials", type=int, default=20, help="number of Monte-Carlo trials")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the trials")
-    _add_spec_options(p)
+    _add_spec_flags(p)
     p.add_argument(
         "--sweep",
         action="store_true",
@@ -827,7 +801,6 @@ def _report_trajectory(args: argparse.Namespace) -> int:
 
 
 def _emit_suite(args: argparse.Namespace) -> int:
-    from repro.scenario.spec import ScenarioSpec
     from repro.scenario.suite import SuiteSpec
 
     try:
@@ -1107,7 +1080,7 @@ def _add_config_parser(sub) -> None:
         action="store_true",
         help="print the resolved spec as JSON (pipe into a scenario file)",
     )
-    _add_spec_options(p, suppress=True)
+    _add_spec_flags(p, suppress=True)
 
 
 def _config(args: argparse.Namespace):
@@ -1136,43 +1109,6 @@ def _parse_grid(text: str, option: str) -> tuple:
     return tuple(values)
 
 
-def _scenario_from_flags(args: argparse.Namespace, name: str = "cli"):
-    """Parse the shared spec flags into a declarative ScenarioSpec."""
-    from repro.runtime.montecarlo import RuntimeTrialSpec
-
-    spec = RuntimeTrialSpec(
-        granularity=args.granularity,
-        num_tasks=args.tasks,
-        num_processors=args.processors,
-        epsilon=args.epsilon,
-        num_datasets=args.datasets,
-        mttf_periods=args.mttf,
-        distribution=args.distribution,
-        weibull_shape=args.weibull_shape,
-        mttr_periods=args.mttr,
-        policy=args.policy,
-        admission=args.admission,
-        queue_capacity=None if args.queue_capacity == 0 else args.queue_capacity,
-        checkpoint=not args.no_checkpoint,
-        rebuild_on_repair=args.rebuild_on_repair,
-        rebuild_overhead=args.rebuild_overhead,
-        fast_forward=not args.no_fast_forward,
-    ).to_scenario(name=name)
-    # The failure-world flags postdate the legacy trial-spec bridge: they are
-    # applied as overrides so the default spec stays byte-identical.
-    world = {
-        "faults.repair_shape": args.repair_shape,
-        "faults.trace_file": args.fault_trace,
-        "faults.group_size": args.group_size,
-        "faults.load_coupling": args.load_coupling or None,
-        "faults.spares": args.spares or None,
-        "faults.join_periods": args.join_periods,
-        "faults.preempt_periods": args.preempt_periods,
-    }
-    overrides = {path: value for path, value in world.items() if value is not None}
-    return spec.updated(overrides) if overrides else spec
-
-
 def _run_runtime_command(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.exceptions import SchedulingError
@@ -1190,7 +1126,7 @@ def _run_runtime_command(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        spec = _scenario_from_flags(args, name="runtime-cli")
+        spec = ScenarioSpec(name="runtime-cli").updated(_flag_overrides(args))
         if args.sweep:
             group_sizes = None
             if args.sweep_group_sizes is not None:
@@ -1273,6 +1209,7 @@ def _print_result(result, title: str) -> None:
 def _run_run_command(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.exceptions import SchedulingError
+    from repro.resilience import ExecutionError
 
     try:
         session = Session.from_file(args.scenario)
@@ -1331,6 +1268,9 @@ def _run_run_command(args: argparse.Namespace) -> int:
             result = session.monte_carlo(
                 trials=args.trials, seed=args.seed, jobs=args.jobs
             )
+    except ExecutionError as exc:
+        print(f"repro-streaming run: error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, SchedulingError) as exc:
         print(f"repro-streaming run: error: {exc}", file=sys.stderr)
         return 2
@@ -1341,8 +1281,6 @@ def _run_run_command(args: argparse.Namespace) -> int:
 
 
 def _run_config_command(args: argparse.Namespace) -> int:
-    from repro.scenario.spec import ScenarioSpec
-
     try:
         if args.scenario is not None:
             base = ScenarioSpec.from_file(args.scenario)

@@ -9,8 +9,8 @@
 * :mod:`repro.experiments.tables` — the worked examples of Figures 1 and 2;
 * :mod:`repro.experiments.reporting` — ASCII rendering of the results;
 * :mod:`repro.experiments.parallel` — the parallel Monte-Carlo campaign
-  engine (``jobs``-way process fan-out of runtime trials and per-graph
-  campaign work units, deterministic regardless of the worker count);
+  engine (``jobs``-way process fan-out of runtime trials, deterministic
+  regardless of the worker count);
 * :mod:`repro.experiments.sweep` — suite execution (:func:`run_suite`,
   :class:`SweepResult` with arbitrary-axis panel pivots, spec-hash result
   caching) and the failure-regime sweep of the online runtime
@@ -39,7 +39,6 @@ from repro.experiments.reporting import (
     render_sweep,
 )
 from repro.experiments.parallel import (
-    parallel_map,
     RuntimeCampaignResult,
     run_runtime_campaign,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "render_point_table",
     "render_sweep",
     "render_suite",
-    "parallel_map",
     "RuntimeCampaignResult",
     "run_runtime_campaign",
     "SweepPoint",

@@ -36,6 +36,7 @@ from repro.exceptions import SchedulingError, SpecificationError
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.failures.evaluation import expected_crash_latency
 from repro.graph.generator import random_paper_workload
+from repro.resilience.supervisor import supervised_values
 from repro.scenario.spec import ScenarioSpec, SchedulerSpec, WorkloadSpec
 from repro.schedule.metrics import latency_upper_bound
 from repro.schedule.schedule import Schedule
@@ -293,45 +294,35 @@ def run_point(
     config: ExperimentConfig,
     algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
     jobs: int | None = 1,
-    chunksize: int | None = None,
 ) -> PointResult:
     """Run one (granularity, ε) point of the campaign.
 
     With ``jobs > 1`` the graph instances of the point are sharded across
     worker processes; every instance carries its own pre-derived seed, so the
-    result is bit-for-bit identical for any ``jobs`` value.  *chunksize* is
-    accepted for backward compatibility (it tuned transport, never results);
-    execution runs under the supervised pool, so a worker crash retries only
-    the lost instances instead of aborting the point.
+    result is bit-for-bit identical for any ``jobs`` value.  Execution runs
+    under the supervised pool, so a worker crash retries only the lost
+    instances instead of aborting the point.
     """
     items = [(granularity, s) for s in instance_seeds(config, granularity, epsilon)]
-    results = _supervised_instances(items, epsilon, config, algorithms, jobs)
+    results = _run_instances(items, epsilon, config, algorithms, jobs)
     return _reduce_point(granularity, epsilon, config, results, algorithms)
 
 
-def _supervised_instances(units, epsilon, config, algorithms, jobs):
+def _run_instances(units, epsilon, config, algorithms, jobs):
     """Fan graph instances across the supervised pool; raise on exhaustion.
 
-    The figure campaigns have no partial-result shape (a point averages over
-    *all* its instances), so units still missing after the retry budget raise
-    :class:`~repro.resilience.supervisor.ExecutionError` — but a transient
-    worker death no longer costs the whole campaign, and each unit's seed
-    travels as its supervision token so failures stay attributable.
+    Each unit's seed travels as its supervision token, so a failure names the
+    graph instance that was lost.
     """
-    from repro.resilience import ExecutionError, resolve_chaos, supervised_map
-
-    outcome = supervised_map(
+    return supervised_values(
         partial(
             run_graph_instance, epsilon=epsilon, config=config, algorithms=algorithms
         ),
         units,
-        jobs=jobs,
+        jobs,
+        f"campaign (epsilon {epsilon})",
         tokens=[unit_seed for _granularity, unit_seed in units],
-        chaos=resolve_chaos(None),
     )
-    if outcome.failures:
-        raise ExecutionError(outcome.failures, what=f"campaign (epsilon {epsilon})")
-    return outcome.values
 
 
 def run_campaign(
@@ -339,7 +330,6 @@ def run_campaign(
     config: ExperimentConfig,
     algorithms: Mapping[str, Callable[..., Schedule]] | None = None,
     jobs: int | None = 1,
-    chunksize: int | None = None,
 ) -> CampaignResult:
     """Sweep every granularity of *config* for the given ε.
 
@@ -348,16 +338,15 @@ def run_campaign(
     when there are fewer granularity points than workers (per-graph sharding
     *within* a point).  Every unit carries its own pre-derived seed, so the
     campaign is bit-for-bit identical for any ``jobs`` value (custom
-    *algorithms* must be picklable, i.e. module-level functions); *chunksize*
-    is accepted for backward compatibility (it tuned transport, never
-    results).  Execution runs under the supervised pool of
+    *algorithms* must be picklable, i.e. module-level functions).  Execution
+    runs under the supervised pool of
     :mod:`repro.resilience`, so a transient worker death retries only the
     lost instances instead of aborting the campaign.
     """
     units: list[tuple[float, int]] = []
     for granularity in config.granularities:
         units.extend((granularity, s) for s in instance_seeds(config, granularity, epsilon))
-    results = _supervised_instances(units, epsilon, config, algorithms, jobs)
+    results = _run_instances(units, epsilon, config, algorithms, jobs)
     points = []
     n = config.num_graphs
     for k, granularity in enumerate(config.granularities):

@@ -1,38 +1,32 @@
 """Parallel Monte-Carlo campaign engine.
 
-Fans independent units of work — online-runtime trials and the per-granularity
-points of the figure campaigns — across CPU cores with
-:class:`concurrent.futures.ProcessPoolExecutor`.
+Fans independent online-runtime trials across CPU cores through the
+supervised pool of :mod:`repro.resilience.supervisor` — the one process pool
+of the package (the figure campaigns use it too, see
+:func:`repro.resilience.supervisor.supervised_values`).
 
 Determinism is non-negotiable: every unit receives its own child seed derived
 *before* dispatch from the campaign seed (via
 :func:`repro.utils.rng.derive_seed`), and the results are collected in
 submission order, so ``jobs=1`` and ``jobs=N`` produce bit-for-bit identical
 results.  Work functions must be module-level (picklable) pure functions of
-their arguments — both :func:`repro.runtime.montecarlo.run_trial` and
-:func:`repro.experiments.campaign.run_point` qualify.
+their arguments — both :func:`repro.scenario.run.run_scenario_online` and
+:func:`repro.experiments.campaign.run_graph_instance` qualify.
 
-Transport is the second lever.  ``executor.map`` round-trips one pickle per
-work unit by default; :func:`parallel_map` always passes an explicit
-``chunksize`` (≈ four chunks per worker unless overridden), which batches the
-small units of wide campaigns into a few pickles per worker.  And campaigns
-that only need statistics can run with ``reduce="stats"``: the worker
-summarizes each trace to a :class:`~repro.runtime.trace.TraceSummary` *before*
-shipping it back, so a cacheless sweep transfers a few floats per trial
-instead of megabytes of trace pickles — with
-:meth:`RuntimeCampaignResult.stats` equal to the ``reduce="traces"`` value by
-construction (see :func:`repro.runtime.trace.combine_summaries`).
+Transport is the second lever: campaigns that only need statistics can run
+with ``reduce="stats"``: the worker summarizes each trace to a
+:class:`~repro.runtime.trace.TraceSummary` *before* shipping it back, so a
+cacheless sweep transfers a few floats per trial instead of megabytes of
+trace pickles — with :meth:`RuntimeCampaignResult.stats` equal to the
+``reduce="traces"`` value by construction (see
+:func:`repro.runtime.trace.combine_summaries`).
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial, run_trial_summary
 from repro.runtime.trace import (
     RuntimeStats,
     RuntimeTrace,
@@ -40,11 +34,11 @@ from repro.runtime.trace import (
     combine_summaries,
     summarize_traces,
 )
+from repro.scenario.run import run_scenario_online, run_trial_summary
 from repro.scenario.spec import ScenarioSpec
 from repro.utils.rng import derive_seed, ensure_rng
 
 __all__ = [
-    "parallel_map",
     "REDUCTIONS",
     "check_reduce",
     "campaign_trial_seeds",
@@ -52,39 +46,10 @@ __all__ = [
     "run_runtime_campaign",
 ]
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 #: worker-side reductions of a campaign: ship full traces, or summarize each
 #: trace to a TraceSummary inside the worker (identical statistics, a tiny
 #: fraction of the inter-process transfer).
 REDUCTIONS = ("traces", "stats")
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    jobs: int | None = 1,
-    chunksize: int | None = None,
-) -> list[R]:
-    """``[fn(x) for x in items]``, optionally across *jobs* worker processes.
-
-    Results always come back in input order.  ``jobs`` of ``None``, 0 or 1 —
-    or a single-item input — runs serially in-process (no pool overhead, same
-    results).  *chunksize* batches units into one pickle round-trip per chunk;
-    the default aims at four chunks per worker, which amortizes the transport
-    of small units while keeping the pool load-balanced (``executor.map``'s
-    own default of 1 round-trips every unit individually).  Neither knob
-    changes results — only how the identical work units travel.
-    """
-    items = list(items)
-    if jobs is None or jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    workers = min(jobs, len(items))
-    if chunksize is None:
-        chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, items, chunksize=chunksize))
 
 
 def campaign_trial_seeds(seed: int, trials: int) -> tuple[int, ...]:
@@ -117,7 +82,7 @@ class RuntimeCampaignResult:
     processes.  :attr:`stats` is identical either way.
     """
 
-    spec: Union[ScenarioSpec, RuntimeTrialSpec]
+    spec: ScenarioSpec
     seed: int
     trial_seeds: tuple[int, ...]
     traces: tuple[RuntimeTrace, ...] | None
@@ -149,7 +114,7 @@ class RuntimeCampaignResult:
 
 
 def run_runtime_campaign(
-    spec: Union[ScenarioSpec, RuntimeTrialSpec],
+    spec: ScenarioSpec,
     trials: int = 20,
     seed: int = 0,
     jobs: int | None = 1,
@@ -164,10 +129,8 @@ def run_runtime_campaign(
 ) -> RuntimeCampaignResult:
     """Run *trials* independent online-runtime trials, *jobs* at a time.
 
-    *spec* is a declarative :class:`~repro.scenario.spec.ScenarioSpec` (or,
-    deprecated, a legacy flat :class:`~repro.runtime.montecarlo.
-    RuntimeTrialSpec` — both run the same scenario path and produce identical
-    traces).  The child seeds are drawn up-front from *seed*, so the campaign
+    *spec* is a declarative :class:`~repro.scenario.spec.ScenarioSpec`.  The
+    child seeds are drawn up-front from *seed*, so the campaign
     result is identical for any value of *jobs* and any machine; two
     campaigns with the same ``(spec, trials, seed)`` produce equal traces.
 
@@ -208,15 +171,6 @@ def run_runtime_campaign(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_reduce(reduce)
-    if isinstance(spec, RuntimeTrialSpec):
-        warnings.warn(
-            "passing a RuntimeTrialSpec to run_runtime_campaign is deprecated; "
-            "build a ScenarioSpec (see RuntimeTrialSpec.to_scenario) — the "
-            "signature will require one in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = spec.to_scenario()
     from repro.cache import MISS, campaign_key, open_cache
     from repro.resilience import ExecutionError, resolve_chaos, supervised_map
     from repro.resilience.supervisor import ExecutionInterrupted, RetryPolicy
@@ -233,7 +187,7 @@ def run_runtime_campaign(
         cache, spec, seed, range(trials), reduce, resume
     )
     pending = [t for t in range(trials) if t not in checkpoints]
-    fn = partial(run_trial_summary if reduce == "stats" else run_trial, spec)
+    fn = partial(run_trial_summary if reduce == "stats" else run_scenario_online, spec)
 
     def checkpoint(slot: int, value) -> None:
         from repro.cache import trial_key

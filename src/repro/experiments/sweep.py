@@ -34,16 +34,14 @@ case of the paper, ``shape > 1`` models wear-out.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Union
 
 from repro.cache import MISS, CacheStats, campaign_key, open_cache
 from repro.exceptions import SpecificationError
 from repro.experiments.figures import FigureSeries
-from repro.runtime.montecarlo import RuntimeTrialSpec
 from repro.runtime.trace import RuntimeStats
+from repro.scenario.run import run_scenario_online, run_trial_summary
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.suite import SuiteSpec
 from repro.utils.rng import derive_seed, ensure_rng
@@ -341,12 +339,10 @@ def _run_trial_unit(item: tuple[ScenarioSpec, int], reduce: str):
     With ``reduce="stats"`` the trace never leaves the worker — only its
     :class:`~repro.runtime.trace.TraceSummary` does.
     """
-    from repro.runtime.montecarlo import run_trial, run_trial_summary
-
     point_spec, trial_seed = item
     if reduce == "stats":
         return run_trial_summary(point_spec, trial_seed)
-    return run_trial(point_spec, trial_seed)
+    return run_scenario_online(point_spec, trial_seed)
 
 
 def run_suite(
@@ -628,7 +624,7 @@ class RuntimeSweepResult:
 
 
 def run_runtime_sweep(
-    spec: Union[ScenarioSpec, RuntimeTrialSpec],
+    spec: ScenarioSpec,
     mttf_grid: tuple[float, ...] = (50.0, 100.0, 200.0, 400.0),
     mttr_grid: tuple[float | None, ...] = (None, 25.0),
     shapes: tuple[float, ...] = (0.7, 1.0, 1.5),
@@ -665,15 +661,6 @@ def run_runtime_sweep(
         raise ValueError("mttf_grid and shapes must be numeric (only mttr may be none)")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if isinstance(spec, RuntimeTrialSpec):
-        warnings.warn(
-            "passing a RuntimeTrialSpec to run_runtime_sweep is deprecated; "
-            "build a ScenarioSpec (see RuntimeTrialSpec.to_scenario) — the "
-            "signature will require one in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = spec.to_scenario()
     axes: dict = dict(
         zip(SWEEP_AXES, (tuple(mttf_grid), tuple(mttr_grid), tuple(shapes)))
     )

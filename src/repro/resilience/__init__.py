@@ -4,7 +4,8 @@ The rest of the library simulates faults in the *modeled* platform; this
 package makes the *runner* survive its own infrastructure failing:
 
 * :mod:`repro.resilience.supervisor` — a supervised process pool
-  (:func:`supervised_map`) that detects worker death, respawns the pool,
+  (:func:`supervised_map`, and :func:`supervised_values` for all-or-nothing
+  runners) that detects worker death, respawns the pool,
   retries lost units with bounded exponential backoff, and enforces a
   per-unit wall-clock timeout by killing stuck workers;
 * :mod:`repro.resilience.chaos` — a deterministic chaos-injection harness
@@ -35,6 +36,7 @@ from repro.resilience.supervisor import (
     UnitFailure,
     drain_signals,
     supervised_map,
+    supervised_values,
 )
 
 __all__ = [
@@ -49,4 +51,5 @@ __all__ = [
     "drain_signals",
     "resolve_chaos",
     "supervised_map",
+    "supervised_values",
 ]

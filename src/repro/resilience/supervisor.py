@@ -1,9 +1,8 @@
 """Supervised process pool: retry, timeout-kill, respawn, drain.
 
-:func:`supervised_map` is the resilient sibling of
-:func:`repro.experiments.parallel.parallel_map`.  Both map a picklable
-function over a list bit-identically to a serial loop; the supervised
-variant additionally survives the infrastructure failing:
+:func:`supervised_map` is the package's one process pool: it maps a
+picklable function over a list bit-identically to a serial loop, and
+survives the infrastructure failing:
 
 * a **dead worker** (``BrokenProcessPool``) respawns the pool and retries
   only the units that were in flight, each with a bounded attempt budget
@@ -27,6 +26,9 @@ variant additionally survives the infrastructure failing:
 Determinism: retries re-run ``fn(item)`` which is pure in every caller
 (trial seeds are pre-derived), so a recovered run is bit-identical to an
 undisturbed one regardless of which workers died when.
+
+:func:`supervised_values` is the all-or-nothing form for runners that have
+no partial result to degrade into (the figure campaigns and studies).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.exceptions import ReproError, SpecificationError
-from repro.resilience.chaos import ChaosCrash, ChaosSpec, CorruptPayload
+from repro.resilience.chaos import ChaosCrash, ChaosSpec, CorruptPayload, resolve_chaos
 
 __all__ = [
     "ExecutionError",
@@ -50,6 +52,7 @@ __all__ = [
     "UnitFailure",
     "drain_signals",
     "supervised_map",
+    "supervised_values",
 ]
 
 #: Counter names reported by :func:`supervised_map` (and echoed into obs
@@ -67,9 +70,9 @@ COUNTER_NAMES = (
 class ExecutionError(ReproError):
     """A campaign could not complete after exhausting every retry.
 
-    Raised by :func:`~repro.experiments.parallel.run_runtime_campaign`, which
-    has no partial-result shape to degrade into (suites do — they annotate
-    the failed point instead).  Carries the surviving :class:`UnitFailure`
+    Raised by :func:`~repro.experiments.parallel.run_runtime_campaign` and
+    :func:`supervised_values`, which have no partial-result shape to degrade
+    into (suites do — they annotate the failed point instead).  Carries the surviving :class:`UnitFailure`
     records so the message names which trials died and why.
     """
 
@@ -215,7 +218,7 @@ def _invoke(fn, chaos: ChaosSpec | None, token: int, attempt: int, item):
 def supervised_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
-    jobs: int = 1,
+    jobs: int | None = 1,
     *,
     tokens: Sequence[int] | None = None,
     policy: RetryPolicy | None = None,
@@ -232,7 +235,8 @@ def supervised_map(
     ``jobs >= 2`` — a stuck unit cannot be preempted in-process, so serial
     execution ignores it).  ``on_result(index, value)`` fires in the parent
     as each unit completes, in completion order — this is the checkpoint
-    hook.  ``stop`` drains: no new work is started once set.
+    hook.  ``stop`` drains: no new work is started once set.  ``jobs`` of
+    ``None``, 0 or 1 — or a single item — runs serially in-process.
     """
     policy = policy or RetryPolicy()
     if timeout is not None and timeout <= 0:
@@ -255,11 +259,33 @@ def supervised_map(
     )
     if not items:
         return state.outcome()
-    if jobs <= 1 or len(items) == 1:
+    if jobs is None or jobs <= 1 or len(items) == 1:
         _serial_map(fn, items, chaos, stop, state)
     else:
         _pool_map(fn, items, min(jobs, len(items)), chaos, timeout, stop, state)
     return state.outcome()
+
+
+def supervised_values(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    jobs: int | None = 1,
+    what: str = "campaign",
+    *,
+    tokens: Sequence[int] | None = None,
+) -> list:
+    """``[fn(x) for x in items]`` on the supervised pool; raise on exhaustion.
+
+    For runners without a partial-result shape (a figure point averages over
+    *all* its instances): units still missing after the retry budget raise
+    :class:`ExecutionError` naming *what*, but a transient worker death no
+    longer costs the whole run.  ``tokens`` name the units in failures (the
+    item index by default); chaos comes from ``$REPRO_CHAOS`` alone.
+    """
+    outcome = supervised_map(fn, items, jobs=jobs, tokens=tokens, chaos=resolve_chaos(None))
+    if outcome.failures:
+        raise ExecutionError(outcome.failures, what=what)
+    return outcome.values
 
 
 @dataclass

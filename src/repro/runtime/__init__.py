@@ -15,9 +15,11 @@ counterpart:
   of data sets the pipeline cannot take (``shed`` drops, ``queue`` buffers
   through downtime with a bounded backlog);
 * :mod:`repro.runtime.trace` — the :class:`RuntimeTrace` execution record
-  (per-dataset latency, downtime, rebuilds) and its aggregation;
-* :mod:`repro.runtime.montecarlo` — one seeded Monte-Carlo trial, fanned out
-  in parallel by :mod:`repro.experiments.parallel`.
+  (per-dataset latency, downtime, rebuilds) and its aggregation.
+
+One seeded Monte-Carlo trial of a scenario is
+:func:`repro.scenario.run.run_scenario_online`, fanned out in parallel by
+:mod:`repro.experiments.parallel`.
 """
 
 from repro.runtime.admission import (
@@ -45,7 +47,6 @@ from repro.runtime.trace import (
     summarize_trace,
     summarize_traces,
 )
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial, run_trial_summary
 
 __all__ = [
     "OnlineRuntime",
@@ -68,7 +69,4 @@ __all__ = [
     "combine_summaries",
     "summarize_trace",
     "summarize_traces",
-    "RuntimeTrialSpec",
-    "run_trial",
-    "run_trial_summary",
 ]

@@ -1,183 +1,15 @@
-"""One Monte-Carlo trial of the online runtime.
+"""Historical module path of the campaign trial functions.
 
-A trial is a pure, picklable function of ``(spec, seed)`` — the parallel
-campaign engine (:mod:`repro.experiments.parallel`) fans trials out across
-processes and the result must not depend on how many workers ran them.  Each
-trial derives two child seeds from its own seed (workload, fault trace), so
-trials are mutually independent and individually reproducible.
-
-Since the declarative-scenario redesign the canonical execution path lives in
-:func:`repro.scenario.run.run_scenario_online`; :class:`RuntimeTrialSpec` is
-kept as a thin, backward-compatible alias that converts to a
-:class:`~repro.scenario.spec.ScenarioSpec` (:meth:`RuntimeTrialSpec.
-to_scenario`), and :func:`run_trial` accepts either spec type.  Traces are
-bit-for-bit identical to the pre-redesign direct path.
+``run_trial`` *is* :func:`repro.scenario.run.run_scenario_online` and
+``run_trial_summary`` *is* :func:`repro.scenario.run.run_trial_summary` —
+aliases, not wrappers.  The benchmark's traced run (``perfbench/tracing.py``)
+times campaign trials by rebinding these two names wherever they are bound,
+so the aliases keep that ledger row working until it wraps
+:mod:`repro.scenario.run` directly.  Nothing in the package imports this
+module.
 """
 
-from __future__ import annotations
+from repro.scenario.run import run_scenario_online as run_trial
+from repro.scenario.run import run_trial_summary
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Union
-
-from repro.failures.scenarios import FAULT_DISTRIBUTIONS
-from repro.runtime.admission import ADMISSION_POLICIES
-from repro.runtime.policies import RESCHEDULE_POLICIES
-from repro.runtime.trace import RuntimeTrace, TraceSummary, summarize_trace
-from repro.utils.checks import check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.scenario.spec import ScenarioSpec
-
-__all__ = ["RuntimeTrialSpec", "run_trial", "run_trial_summary"]
-
-
-@dataclass(frozen=True)
-class RuntimeTrialSpec:
-    """Parameters of one online-runtime Monte-Carlo trial (legacy flat form).
-
-    Times are expressed in multiples of the schedule period ``Δ`` so that a
-    spec is meaningful across workloads: ``mttf_periods=60`` means a processor
-    fails on average after 60 stream iterations.
-
-    This is the historical flat spec, kept for backward compatibility
-    (including positional construction).  New code should build a
-    :class:`~repro.scenario.spec.ScenarioSpec` — :meth:`to_scenario` is the
-    exact mapping between the two.
-    """
-
-    granularity: float = 1.0
-    num_tasks: int = 30
-    num_processors: int = 10
-    epsilon: int = 2
-    num_datasets: int = 200
-    mttf_periods: float = 500.0
-    distribution: str = "exponential"
-    weibull_shape: float = 1.5
-    mttr_periods: float | None = None
-    policy: str = "rltf"
-    admission: str = "shed"
-    queue_capacity: int | None = 64
-    checkpoint: bool = True
-    rebuild_on_repair: bool = False
-    rebuild_overhead: float = 1.0
-    period_slack: float = 2.0
-    fast_forward: bool = True
-
-    def __post_init__(self) -> None:
-        check_positive(self.granularity, "granularity")
-        check_positive(self.mttf_periods, "mttf_periods")
-        check_positive(self.weibull_shape, "weibull_shape")
-        check_positive(self.period_slack, "period_slack")
-        if self.mttr_periods is not None:
-            check_positive(self.mttr_periods, "mttr_periods")
-        if self.num_tasks < 2:
-            raise ValueError(f"num_tasks must be >= 2, got {self.num_tasks}")
-        if self.num_processors < 2:
-            raise ValueError(f"num_processors must be >= 2, got {self.num_processors}")
-        if self.epsilon < 0 or self.epsilon >= self.num_processors:
-            raise ValueError(
-                f"epsilon={self.epsilon} needs 0 <= epsilon < {self.num_processors}"
-            )
-        if self.num_datasets < 1:
-            raise ValueError(f"num_datasets must be >= 1, got {self.num_datasets}")
-        if self.distribution not in FAULT_DISTRIBUTIONS:
-            raise ValueError(
-                f"distribution must be one of {FAULT_DISTRIBUTIONS}, "
-                f"got {self.distribution!r}"
-            )
-        if self.policy not in RESCHEDULE_POLICIES:
-            raise ValueError(RESCHEDULE_POLICIES.describe_unknown(self.policy))
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(ADMISSION_POLICIES.describe_unknown(self.admission))
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError(
-                f"queue_capacity must be >= 1 or None, got {self.queue_capacity}"
-            )
-        if self.rebuild_overhead < 0:
-            raise ValueError(
-                f"rebuild_overhead must be >= 0, got {self.rebuild_overhead}"
-            )
-
-    def with_overrides(self, **kwargs) -> "RuntimeTrialSpec":
-        """A copy of the spec with some fields replaced."""
-        return replace(self, **kwargs)
-
-    def to_scenario(self, name: str = "runtime-trial") -> "ScenarioSpec":
-        """The equivalent declarative :class:`~repro.scenario.spec.ScenarioSpec`.
-
-        The mapping is exact: running the returned scenario produces a trace
-        bit-for-bit identical to running this trial spec on the same seed.
-        """
-        # Imported lazily: repro.runtime.__init__ loads this module, so a
-        # top-level import of repro.scenario (which imports the runtime
-        # package for its policy registries) would close a cycle.
-        from repro.scenario.spec import (
-            FaultSpec,
-            RuntimeSpec,
-            ScenarioSpec,
-            SchedulerSpec,
-            WorkloadSpec,
-        )
-
-        return ScenarioSpec(
-            name=name,
-            workload=WorkloadSpec(
-                generator="paper",
-                granularity=self.granularity,
-                num_tasks=self.num_tasks,
-                num_processors=self.num_processors,
-            ),
-            scheduler=SchedulerSpec(
-                name="rltf",
-                epsilon=self.epsilon,
-                period_slack=self.period_slack,
-                fallback=True,
-            ),
-            faults=FaultSpec(
-                mttf_periods=self.mttf_periods,
-                mttr_periods=self.mttr_periods,
-                distribution=self.distribution,
-                weibull_shape=self.weibull_shape,
-            ),
-            runtime=RuntimeSpec(
-                num_datasets=self.num_datasets,
-                policy=self.policy,
-                admission=self.admission,
-                queue_capacity=self.queue_capacity,
-                checkpoint=self.checkpoint,
-                rebuild_on_repair=self.rebuild_on_repair,
-                rebuild_overhead=self.rebuild_overhead,
-                fast_forward=self.fast_forward,
-            ),
-        )
-
-
-def run_trial(
-    spec: Union[RuntimeTrialSpec, "ScenarioSpec"], seed: int
-) -> RuntimeTrace:
-    """Run one seeded trial: workload → schedule → fault trace → online run.
-
-    Deterministic: the trace only depends on ``(spec, seed)``.  Accepts
-    either a legacy :class:`RuntimeTrialSpec` or a declarative
-    :class:`~repro.scenario.spec.ScenarioSpec`; both run through
-    :func:`repro.scenario.run.run_scenario_online`, the single execution
-    path shared with the :class:`~repro.api.Session` facade.
-    """
-    from repro.scenario.run import run_scenario_online
-    from repro.scenario.spec import ScenarioSpec
-
-    scenario = spec if isinstance(spec, ScenarioSpec) else spec.to_scenario()
-    return run_scenario_online(scenario, seed)
-
-
-def run_trial_summary(
-    spec: Union[RuntimeTrialSpec, "ScenarioSpec"], seed: int
-) -> TraceSummary:
-    """One seeded trial reduced to its :class:`~repro.runtime.trace.
-    TraceSummary` — the ``reduce="stats"`` worker mode of the campaign engine.
-
-    Running **and summarizing** inside the worker process means only a dozen
-    floats cross the process boundary instead of the full trace pickle.  The
-    summary is exactly ``summarize_trace(run_trial(spec, seed))``.
-    """
-    return summarize_trace(run_trial(spec, seed))
+__all__ = ["run_trial", "run_trial_summary"]

@@ -22,7 +22,7 @@ from repro.failures.scenarios import FaultTrace, sample_fault_trace
 from repro.graph.generator import PaperWorkload
 from repro.runtime.admission import QueueAdmissionPolicy
 from repro.runtime.engine import OnlineRuntime
-from repro.runtime.trace import RuntimeTrace
+from repro.runtime.trace import RuntimeTrace, TraceSummary, summarize_trace
 from repro.scenario.registries import SCHEDULERS, WORKLOAD_GENERATORS
 from repro.scenario.spec import FaultSpec, ScenarioSpec, SchedulerSpec, WorkloadSpec
 from repro.utils.registry import close_matches_hint
@@ -38,6 +38,7 @@ __all__ = [
     "build_fault_trace",
     "execute_online",
     "run_scenario_online",
+    "run_trial_summary",
     "validate_spec_options",
 ]
 
@@ -339,8 +340,8 @@ def run_scenario_online(spec: ScenarioSpec, seed: int = 0, probe=None) -> Runtim
 
     Deterministic: the trace only depends on ``(spec, seed)``.  This is the
     unit of work fanned across processes by the Monte-Carlo campaign engine,
-    and the single execution path under ``Session.run_online``,
-    :func:`repro.runtime.montecarlo.run_trial` and the failure-regime sweeps.
+    and the single execution path under ``Session.run_online`` and the
+    failure-regime sweeps.
     """
     workload_seed, fault_seed = resolve_seeds(spec, seed)
     workload = build_workload(spec.workload, workload_seed)
@@ -352,3 +353,14 @@ def run_scenario_online(spec: ScenarioSpec, seed: int = 0, probe=None) -> Runtim
             f"no schedule found for scenario {spec.name!r} seed {seed}: {exc}"
         ) from None
     return execute_online(spec, workload, schedule, fault_seed, probe=probe)
+
+
+def run_trial_summary(spec: ScenarioSpec, seed: int) -> TraceSummary:
+    """One seeded trial reduced to its :class:`~repro.runtime.trace.
+    TraceSummary` — the ``reduce="stats"`` worker mode of the campaign engine.
+
+    Running **and summarizing** inside the worker process means only a dozen
+    floats cross the process boundary instead of the full trace pickle.  The
+    summary is exactly ``summarize_trace(run_scenario_online(spec, seed))``.
+    """
+    return summarize_trace(run_scenario_online(spec, seed))

@@ -31,35 +31,37 @@ from repro.failures.scenarios import sample_fault_trace
 from repro.graph.generator import random_paper_workload
 from repro.runtime.admission import QueueAdmissionPolicy
 from repro.runtime.engine import OnlineRuntime
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial
 from repro.scenario import ScenarioSpec
+from repro.scenario.run import run_scenario_online
 from repro.utils.rng import derive_seed, ensure_rng
 
-TRIAL = RuntimeTrialSpec(
-    num_tasks=15,
-    num_processors=6,
-    epsilon=1,
-    num_datasets=30,
-    mttf_periods=40.0,
+SCENARIO = ScenarioSpec(name="runtime-trial").updated(
+    {
+        "workload.num_tasks": 15,
+        "workload.num_processors": 6,
+        "scheduler.epsilon": 1,
+        "runtime.num_datasets": 30,
+        "faults.mttf_periods": 40.0,
+    }
 )
-SCENARIO = TRIAL.to_scenario()
 
 
-def _legacy_run_trial(spec: RuntimeTrialSpec, seed: int):
+def _legacy_run_trial(spec: ScenarioSpec, seed: int):
     """The pre-redesign direct-call path, frozen as the bit-identity oracle."""
     rng = ensure_rng(seed)
     workload_seed = derive_seed(rng)
     fault_seed = derive_seed(rng)
     workload = random_paper_workload(
-        spec.granularity,
+        spec.workload.granularity,
         seed=workload_seed,
-        num_tasks=spec.num_tasks,
-        num_processors=spec.num_processors,
+        num_tasks=spec.workload.num_tasks,
+        num_processors=spec.workload.num_processors,
     )
-    config = ExperimentConfig(period_slack=spec.period_slack)
-    period = workload_period(workload, spec.epsilon, config)
+    config = ExperimentConfig(period_slack=spec.scheduler.period_slack)
+    eps = spec.scheduler.epsilon
+    period = workload_period(workload, eps, config)
     schedule = None
-    for epsilon in dict.fromkeys((spec.epsilon, max(0, spec.epsilon - 1), 0)):
+    for epsilon in dict.fromkeys((eps, max(0, eps - 1), 0)):
         for scheduler in (rltf_schedule, ltf_schedule):
             try:
                 schedule = scheduler(
@@ -71,58 +73,60 @@ def _legacy_run_trial(spec: RuntimeTrialSpec, seed: int):
         if schedule is not None:
             break
     assert schedule is not None
+    faults, options = spec.faults, spec.runtime
     fault_trace = sample_fault_trace(
         workload.platform,
-        horizon=spec.num_datasets * schedule.period,
-        mttf=spec.mttf_periods * schedule.period,
-        distribution=spec.distribution,
-        shape=spec.weibull_shape,
+        horizon=options.num_datasets * schedule.period,
+        mttf=faults.mttf_periods * schedule.period,
+        distribution=faults.distribution,
+        shape=faults.weibull_shape,
         mttr=None
-        if spec.mttr_periods is None
-        else spec.mttr_periods * schedule.period,
+        if faults.mttr_periods is None
+        else faults.mttr_periods * schedule.period,
         seed=fault_seed,
     )
-    admission = spec.admission
+    admission = options.admission
     if admission == "queue":
-        admission = QueueAdmissionPolicy(capacity=spec.queue_capacity)
+        admission = QueueAdmissionPolicy(capacity=options.queue_capacity)
     runtime = OnlineRuntime(
         schedule,
         fault_trace,
-        policy=spec.policy,
-        rebuild_overhead=spec.rebuild_overhead,
-        rebuild_on_repair=spec.rebuild_on_repair,
+        policy=options.policy,
+        rebuild_overhead=options.rebuild_overhead,
+        rebuild_on_repair=options.rebuild_on_repair,
         admission=admission,
-        checkpoint=spec.checkpoint,
+        checkpoint=options.checkpoint,
     )
-    return runtime.run(spec.num_datasets)
+    return runtime.run(options.num_datasets)
 
 
 class TestOnlineBitIdentity:
     def test_session_matches_direct_online_runtime_call(self):
         for seed in (0, 11):
             assert Session(SCENARIO).run_online(seed).trace == _legacy_run_trial(
-                TRIAL, seed
+                SCENARIO, seed
             )
 
     def test_session_matches_direct_call_with_repairs_and_queue(self):
-        trial = TRIAL.with_overrides(
-            mttr_periods=15.0,
-            distribution="weibull",
-            weibull_shape=0.8,
-            admission="queue",
-            queue_capacity=None,
-            rebuild_on_repair=True,
+        trial = SCENARIO.updated(
+            {
+                "faults.mttr_periods": 15.0,
+                "faults.distribution": "weibull",
+                "faults.weibull_shape": 0.8,
+                "runtime.admission": "queue",
+                "runtime.queue_capacity": None,
+                "runtime.rebuild_on_repair": True,
+            }
         )
-        assert Session(trial.to_scenario()).run_online(5).trace == _legacy_run_trial(
-            trial, 5
-        )
+        assert Session(trial).run_online(5).trace == _legacy_run_trial(trial, 5)
 
-    def test_run_trial_accepts_both_spec_types(self):
-        assert run_trial(TRIAL, 7) == run_trial(SCENARIO, 7)
+    def test_campaign_trial_matches_the_oracle(self):
+        """The campaign unit of work runs the same path as the Session."""
+        assert run_scenario_online(SCENARIO, 7) == _legacy_run_trial(SCENARIO, 7)
 
     def test_json_round_trip_preserves_the_trace(self):
         reloaded = Session.from_json(SCENARIO.to_json())
-        assert reloaded.run_online(3).trace == _legacy_run_trial(TRIAL, 3)
+        assert reloaded.run_online(3).trace == _legacy_run_trial(SCENARIO, 3)
 
     def test_pinned_seeds_override_derivation(self):
         pinned = SCENARIO.updated({"workload.seed": 123, "faults.seed": 456})
@@ -182,7 +186,7 @@ class TestGridMatchesSweep:
     def test_grid_expansion_matches_sweep_points(self):
         """The sweep is literally a ScenarioSpec.grid product: rebuilding each
         point's campaign from the expanded specs reproduces the sweep stats."""
-        base = TRIAL.with_overrides(num_datasets=20).to_scenario()
+        base = SCENARIO.updated({"runtime.num_datasets": 20})
         mttf_grid, mttr_grid, shapes = (30.0, 60.0), (None,), (1.0, 1.5)
         sweep = run_runtime_sweep(
             base,
@@ -206,25 +210,6 @@ class TestGridMatchesSweep:
             assert spec.faults.weibull_shape == point.shape
             campaign = run_runtime_campaign(spec, trials=2, seed=seed, jobs=1)
             assert campaign.stats == point.stats
-
-    def test_legacy_trial_spec_sweep_still_works_with_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            sweep = run_runtime_sweep(
-                TRIAL.with_overrides(num_datasets=20),
-                mttf_grid=(30.0,),
-                mttr_grid=(None,),
-                shapes=(1.0,),
-                trials=1,
-                seed=0,
-                jobs=1,
-            )
-        assert len(sweep.points) == 1
-
-    def test_legacy_trial_spec_campaign_still_works_with_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            legacy = run_runtime_campaign(TRIAL, trials=2, seed=4, jobs=1)
-        modern = run_runtime_campaign(SCENARIO, trials=2, seed=4, jobs=1)
-        assert legacy.traces == modern.traces
 
 
 class TestBuildScheduleFallback:
@@ -345,7 +330,7 @@ class TestCli:
         from repro.cli import main
 
         path = tmp_path / "scenario.json"
-        TRIAL.to_scenario(name="smoke-test").save(path)
+        SCENARIO.with_name("smoke-test").save(path)
         assert main(["run", str(path), "--smoke"]) == 0
         out = capsys.readouterr().out
         for title in ("schedule", "simulate", "online run", "monte-carlo"):
@@ -355,7 +340,7 @@ class TestCli:
         from repro.cli import main
 
         path = tmp_path / "scenario.json"
-        TRIAL.to_scenario().save(path)
+        SCENARIO.save(path)
         assert main(["run", str(path), "--mode", "schedule"]) == 0
         assert "algorithm" in capsys.readouterr().out
         assert main(["run", str(tmp_path / "nope.json")]) == 2

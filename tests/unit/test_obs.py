@@ -30,20 +30,22 @@ from repro.obs import (
     sample_trace,
     write_gantt,
 )
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial
+from repro.scenario import ScenarioSpec
 from repro.scenario.run import run_scenario_online
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 #: The spec of `TestGoldenSeedResults` in test_runtime.py — its seed-0 trace
 #: is the frozen golden run the Gantt export is pinned to.
-GOLDEN_SPEC = RuntimeTrialSpec(
-    num_tasks=20,
-    num_processors=8,
-    epsilon=2,
-    num_datasets=80,
-    mttf_periods=30.0,
-    mttr_periods=10.0,
+GOLDEN_SPEC = ScenarioSpec(name="runtime-trial").updated(
+    {
+        "workload.num_tasks": 20,
+        "workload.num_processors": 8,
+        "scheduler.epsilon": 2,
+        "runtime.num_datasets": 80,
+        "faults.mttf_periods": 30.0,
+        "faults.mttr_periods": 10.0,
+    }
 )
 
 
@@ -139,14 +141,14 @@ class TestMetricsRegistry:
 class TestMetricsProbe:
     @pytest.fixture(scope="class")
     def probed_run(self):
-        spec = GOLDEN_SPEC.to_scenario(name="probed")
+        spec = GOLDEN_SPEC.with_name("probed")
         probe = MetricsProbe()
         trace = run_scenario_online(spec, seed=0, probe=probe)
         return trace, probe
 
     def test_probe_does_not_perturb_the_trace(self, probed_run):
         trace, _ = probed_run
-        bare = run_scenario_online(GOLDEN_SPEC.to_scenario(name="probed"), seed=0)
+        bare = run_scenario_online(GOLDEN_SPEC.with_name("probed"), seed=0)
         assert trace == bare
 
     def test_counters_reconcile_with_the_trace(self, probed_run):
@@ -200,7 +202,7 @@ class TestCampaignPercentiles:
     def test_stats_reduce_matches_traces_reduce_exactly(self):
         from repro.experiments.parallel import run_runtime_campaign
 
-        spec = GOLDEN_SPEC.to_scenario(name="pctl")
+        spec = GOLDEN_SPEC.with_name("pctl")
         full = run_runtime_campaign(spec, trials=4, seed=0)
         lean = run_runtime_campaign(spec, trials=4, seed=0, reduce="stats")
         for attr in (
@@ -212,7 +214,7 @@ class TestCampaignPercentiles:
     def test_campaign_percentiles_equal_whole_set_percentiles(self):
         from repro.experiments.parallel import run_runtime_campaign
 
-        spec = GOLDEN_SPEC.to_scenario(name="pctl")
+        spec = GOLDEN_SPEC.with_name("pctl")
         result = run_runtime_campaign(spec, trials=4, seed=0)
         latencies = [
             lat for trace in result.traces for lat in trace.latencies
@@ -226,7 +228,7 @@ class TestCampaignPercentiles:
     def test_stats_rows_render_percentiles(self):
         from repro.experiments.parallel import run_runtime_campaign
 
-        spec = GOLDEN_SPEC.to_scenario(name="pctl")
+        spec = GOLDEN_SPEC.with_name("pctl")
         rows = dict(run_runtime_campaign(spec, trials=2, seed=0).stats.as_rows())
         for label in ("latency (p50)", "latency (p95)", "latency (p99)", "latency (max)"):
             assert label in rows
@@ -236,7 +238,7 @@ class TestCampaignPercentiles:
 class TestGantt:
     @pytest.fixture(scope="class")
     def golden_trace(self):
-        return run_trial(GOLDEN_SPEC, 0)
+        return run_scenario_online(GOLDEN_SPEC, 0)
 
     def test_svg_matches_the_golden_file(self, golden_trace):
         golden = (GOLDEN_DIR / "gantt_seed0.svg").read_text()
@@ -266,7 +268,7 @@ class TestGantt:
 class TestSampleTrace:
     @pytest.fixture(scope="class")
     def faulted_trace(self):
-        return run_trial(GOLDEN_SPEC, 0)
+        return run_scenario_online(GOLDEN_SPEC, 0)
 
     def test_keeps_every_faulted_dataset(self, faulted_trace):
         lost = [r for r in faulted_trace.records if not r.completed]
@@ -294,7 +296,7 @@ class TestSampleTrace:
 class TestObsCli:
     def _scenario_file(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(GOLDEN_SPEC.to_scenario(name="obs-cli").to_json())
+        path.write_text(GOLDEN_SPEC.with_name("obs-cli").to_json())
         return path
 
     def test_run_exports_gantt_and_metrics(self, tmp_path, capsys):

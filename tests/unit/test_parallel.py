@@ -5,12 +5,11 @@ import pytest
 from repro.experiments.campaign import instance_seeds, run_campaign, run_point
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ablation_rules, baseline_comparison, scaling_study
-from repro.experiments.parallel import (
-    parallel_map,
-    run_runtime_campaign,
-)
+from repro.experiments.parallel import run_runtime_campaign
 from repro.experiments.sweep import run_runtime_sweep
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial
+from repro.resilience import supervised_values
+from repro.scenario import ScenarioSpec
+from repro.scenario.run import run_scenario_online
 
 TINY = ExperimentConfig(
     granularities=(0.5, 1.5),
@@ -21,12 +20,14 @@ TINY = ExperimentConfig(
     seed=1,
 )
 
-SPEC = RuntimeTrialSpec(
-    num_tasks=15,
-    num_processors=6,
-    epsilon=1,
-    num_datasets=30,
-    mttf_periods=40.0,
+SPEC = ScenarioSpec(name="runtime-trial").updated(
+    {
+        "workload.num_tasks": 15,
+        "workload.num_processors": 6,
+        "scheduler.epsilon": 1,
+        "runtime.num_datasets": 30,
+        "faults.mttf_periods": 40.0,
+    }
 )
 
 
@@ -35,16 +36,27 @@ def _square(x: int) -> int:
 
 
 class TestParallelMap:
+    """``supervised_values``: the one pool behind every figure campaign."""
+
     def test_serial_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
+        assert supervised_values(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
 
     def test_parallel_matches_serial(self):
         items = list(range(8))
-        assert parallel_map(_square, items, jobs=4) == [x * x for x in items]
+        assert supervised_values(_square, items, jobs=4) == [x * x for x in items]
 
     def test_none_and_zero_jobs_run_serially(self):
-        assert parallel_map(_square, [2], jobs=None) == [4]
-        assert parallel_map(_square, [2, 3], jobs=0) == [4, 9]
+        assert supervised_values(_square, [2], jobs=None) == [4]
+        assert supervised_values(_square, [2, 3], jobs=None) == [4, 9]
+        assert supervised_values(_square, [2, 3], jobs=0) == [4, 9]
+
+    def test_none_jobs_reach_every_runner(self):
+        """``jobs: int | None`` is the declared type of every runner."""
+        config = TINY.with_overrides(granularities=(1.0,))
+        serial = run_point(1.0, epsilon=1, config=config, jobs=1)
+        assert run_point(1.0, epsilon=1, config=config, jobs=None).metrics == serial.metrics
+        assert run_campaign(1, config, jobs=None).points[0].metrics == serial.metrics
+        assert ablation_rules(config, jobs=None) == ablation_rules(config, jobs=1)
 
 
 class TestRuntimeCampaign:
@@ -67,22 +79,24 @@ class TestRuntimeCampaign:
         assert 0.0 <= stats.mean_availability <= 1.0
 
     def test_trial_is_pure(self):
-        assert run_trial(SPEC, seed=11) == run_trial(SPEC, seed=11)
+        assert run_scenario_online(SPEC, seed=11) == run_scenario_online(SPEC, seed=11)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             run_runtime_campaign(SPEC, trials=0)
         with pytest.raises(ValueError):
-            RuntimeTrialSpec(mttf_periods=-1.0)
+            ScenarioSpec().updated({"faults.mttf_periods": -1.0})
         with pytest.raises(ValueError):
-            RuntimeTrialSpec(distribution="zipf")
+            ScenarioSpec().updated({"faults.distribution": "zipf"})
         with pytest.raises(ValueError):
-            RuntimeTrialSpec(epsilon=10, num_processors=5)
+            ScenarioSpec().updated(
+                {"scheduler.epsilon": 10, "workload.num_processors": 5}
+            )
 
     def test_spec_overrides(self):
-        spec = SPEC.with_overrides(policy="remap")
-        assert spec.policy == "remap"
-        assert spec.num_tasks == SPEC.num_tasks
+        spec = SPEC.updated({"runtime.policy": "remap"})
+        assert spec.runtime.policy == "remap"
+        assert spec.workload.num_tasks == SPEC.workload.num_tasks
 
 
 class TestCampaignJobs:
@@ -120,7 +134,7 @@ class TestCampaignJobs:
         assert set(serial.series) == set(fanned.series) == {"LTF", "R-LTF"}
 
     def test_runtime_sweep_jobs_are_bit_for_bit_identical(self):
-        spec = SPEC.with_overrides(num_datasets=20)
+        spec = SPEC.updated({"runtime.num_datasets": 20})
         serial = run_runtime_sweep(
             spec, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
             trials=2, seed=3, jobs=1,
@@ -154,28 +168,14 @@ class TestCampaignJobs:
         assert serial.series == fanned.series
 
 
-class TestChunkedTransport:
-    def test_explicit_chunksize_matches_serial(self):
-        items = list(range(23))
-        expected = [x * x for x in items]
-        assert parallel_map(_square, items, jobs=3, chunksize=5) == expected
-        assert parallel_map(_square, items, jobs=3, chunksize=1) == expected
-        assert parallel_map(_square, items, jobs=3) == expected  # auto chunking
-
-    def test_auto_chunksize_aims_at_four_chunks_per_worker(self):
-        # the heuristic itself: len // (workers * 4), floored at 1
-        assert max(1, 100 // (4 * 4)) == 6
-        assert max(1, 3 // (2 * 4)) == 1
-
-
 class TestStatsReduction:
     def test_stats_reduce_equals_trace_summaries(self):
         """Acceptance: reduce='stats' stats ≡ summarize_traces(reduce='traces')."""
         from repro.runtime.trace import summarize_traces
 
-        full = run_runtime_campaign(SPEC.to_scenario(), trials=4, seed=3)
+        full = run_runtime_campaign(SPEC, trials=4, seed=3)
         lean = run_runtime_campaign(
-            SPEC.to_scenario(), trials=4, seed=3, reduce="stats"
+            SPEC, trials=4, seed=3, reduce="stats"
         )
         assert lean.stats == full.stats == summarize_traces(full.traces)
         assert lean.trial_seeds == full.trial_seeds
@@ -185,10 +185,10 @@ class TestStatsReduction:
 
     def test_stats_reduce_is_jobs_invariant(self):
         serial = run_runtime_campaign(
-            SPEC.to_scenario(), trials=4, seed=2, jobs=1, reduce="stats"
+            SPEC, trials=4, seed=2, jobs=1, reduce="stats"
         )
         fanned = run_runtime_campaign(
-            SPEC.to_scenario(), trials=4, seed=2, jobs=4, reduce="stats"
+            SPEC, trials=4, seed=2, jobs=4, reduce="stats"
         )
         assert fanned == serial
 
@@ -198,7 +198,7 @@ class TestStatsReduction:
         # is ≥10× less transfer
         import pickle
 
-        spec = SPEC.with_overrides(num_datasets=200).to_scenario()
+        spec = SPEC.updated({"runtime.num_datasets": 200})
         full = run_runtime_campaign(spec, trials=2, seed=3)
         lean = run_runtime_campaign(spec, trials=2, seed=3, reduce="stats")
         assert len(pickle.dumps(lean)) * 10 < len(pickle.dumps(full))
@@ -210,27 +210,27 @@ class TestStatsReduction:
             summarize_traces,
         )
 
-        traces = [run_trial(SPEC, seed) for seed in (0, 5, 9)]
+        traces = [run_scenario_online(SPEC, seed) for seed in (0, 5, 9)]
         assert combine_summaries(map(summarize_trace, traces)) == summarize_traces(
             traces
         )
 
     def test_invalid_reduce_rejected(self):
         with pytest.raises(ValueError, match="reduce"):
-            run_runtime_campaign(SPEC.to_scenario(), trials=2, seed=0, reduce="bogus")
+            run_runtime_campaign(SPEC, trials=2, seed=0, reduce="bogus")
 
     def test_campaign_result_requires_exactly_one_payload(self):
         from repro.experiments.parallel import RuntimeCampaignResult
 
         with pytest.raises(ValueError, match="exactly one"):
             RuntimeCampaignResult(
-                spec=SPEC.to_scenario(), seed=0, trial_seeds=(1,), traces=None
+                spec=SPEC, seed=0, trial_seeds=(1,), traces=None
             )
 
     def test_session_monte_carlo_stats_mode(self):
         from repro.api import Session
 
-        session = Session(SPEC.to_scenario())
+        session = Session(SPEC)
         full = session.monte_carlo(trials=2, seed=1)
         lean = session.monte_carlo(trials=2, seed=1, reduce="stats")
         assert lean.stats == full.stats
@@ -242,7 +242,7 @@ class TestStatsReduction:
         """The sweep report is identical whichever payload the workers ship."""
         from repro.api import Session
 
-        session = Session(SPEC.to_scenario())
+        session = Session(SPEC)
         axes = {"faults.mttf_periods": [30.0, 60.0]}
         full = session.sweep(axes, trials=2, seed=4)
         lean = session.sweep(axes, trials=2, seed=4, reduce="stats")

@@ -213,12 +213,15 @@ class TestCampaignResilience:
     """The engine-facing surface: run_runtime_campaign / run_suite."""
 
     def _spec(self):
-        from repro.runtime.montecarlo import RuntimeTrialSpec
+        from repro.scenario import ScenarioSpec
 
-        return RuntimeTrialSpec(
-            num_tasks=10, num_processors=5, epsilon=1,
-            num_datasets=15, mttf_periods=40.0,
-        ).to_scenario()
+        return ScenarioSpec(name="runtime-trial").updated(
+            {
+                "workload.num_tasks": 10, "workload.num_processors": 5,
+                "scheduler.epsilon": 1, "runtime.num_datasets": 15,
+                "faults.mttf_periods": 40.0,
+            }
+        )
 
     def test_campaign_recovers_from_chaos_bit_identically(self):
         from repro.experiments.parallel import run_runtime_campaign

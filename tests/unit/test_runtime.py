@@ -1,5 +1,7 @@
 """Unit tests for the online runtime: fault traces, policies, engine, traces, CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -17,7 +19,6 @@ from repro.runtime.admission import (
     resolve_admission,
 )
 from repro.runtime.engine import OnlineRuntime, run_online
-from repro.runtime.montecarlo import RuntimeTrialSpec, run_trial
 from repro.runtime.policies import (
     RESCHEDULE_POLICIES,
     RemapReschedulePolicy,
@@ -25,7 +26,11 @@ from repro.runtime.policies import (
     resolve_policy,
 )
 from repro.runtime.trace import DatasetRecord, RuntimeTrace, summarize_traces
+from repro.scenario import ScenarioSpec
+from repro.scenario.run import run_scenario_online
 from repro.schedule.schedule import Schedule
+
+TRACE_CSV = Path(__file__).resolve().parents[2] / "examples" / "cluster_trace.csv"
 
 
 @pytest.fixture
@@ -581,6 +586,78 @@ class TestRuntimeCli:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--admission", "queue", "--queue-capacity", "0"],
+            ["--no-checkpoint", "--no-fast-forward"],
+            ["--spares", "1", "--join-periods", "3", "--preempt-periods", "20"],
+            ["--fault-trace", str(TRACE_CSV)],
+            ["--mttr", "10", "--repair-shape", "2", "--distribution", "weibull"],
+            ["--load-coupling", "0", "--spares", "0", "--mttr", "none"],
+            ["--tasks", "12", "--processors", "6", "--epsilon", "1",
+             "--group-size", "2", "--policy", "remap", "--rebuild-on-repair"],
+        ],
+    )
+    def test_runtime_resolves_the_spec_config_emits(self, flags, capsys, monkeypatch):
+        """One flag table: ``runtime`` runs exactly the spec ``config`` emits."""
+        from repro.api import Session
+        from repro.scenario import ScenarioSpec
+
+        class Resolved(Exception):
+            pass
+
+        def capture(session, **kwargs):
+            raise Resolved(session.spec)
+
+        monkeypatch.setattr(Session, "monte_carlo", capture)
+        with pytest.raises(Resolved) as resolved:
+            main(["runtime", *flags])
+        assert main(["config", *flags, "--emit"]) == 0
+        emitted = ScenarioSpec.from_json(capsys.readouterr().out)
+        runtime_spec = resolved.value.args[0]
+        assert runtime_spec.name == "runtime-cli"
+        assert runtime_spec.with_name(emitted.name) == emitted
+        assert runtime_spec.with_name(emitted.name).to_json() == emitted.to_json()
+
+    def test_runtime_and_config_word_spec_errors_alike(self, capsys):
+        assert main(["runtime", "--tasks", "1"]) == 2
+        runtime_err = capsys.readouterr().err
+        assert main(["config", "--tasks", "1"]) == 2
+        config_err = capsys.readouterr().err
+        assert "workload.num_tasks must be an int >= 2" in runtime_err
+        assert runtime_err.split("error: ")[1] == config_err.split("error: ")[1]
+
+    def test_bad_mttr_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runtime", "--mttr", "abc"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --mttr: invalid value 'abc'" in err
+        assert "_mttr_value" not in err
+
+    def test_run_monte_carlo_reports_execution_errors(self, tmp_path, capsys):
+        """A trial that fails every retry is an error message, not a traceback."""
+        from repro.scenario import ScenarioSpec
+
+        path = tmp_path / "scenario.json"
+        ScenarioSpec().updated(
+            {
+                "workload.num_tasks": 10,
+                "workload.num_processors": 5,
+                "scheduler.epsilon": 1,
+                "runtime.num_datasets": 10,
+                "faults.trace_file": str(tmp_path / "missing.csv"),
+            }
+        ).save(path)
+        code = main(["run", str(path), "--mode", "monte-carlo", "--trials", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-streaming run: error: ")
+        assert "cannot read fault trace" in err
+        assert "Traceback" not in err
+
 
 class TestGoldenSeedResults:
     """Frozen fingerprints of seeded runs, captured before the kernel fast
@@ -590,13 +667,15 @@ class TestGoldenSeedResults:
     which the fast path, by contract, must never do.
     """
 
-    SPEC = RuntimeTrialSpec(
-        num_tasks=20,
-        num_processors=8,
-        epsilon=2,
-        num_datasets=80,
-        mttf_periods=30.0,
-        mttr_periods=10.0,
+    SPEC = ScenarioSpec(name="runtime-trial").updated(
+        {
+            "workload.num_tasks": 20,
+            "workload.num_processors": 8,
+            "scheduler.epsilon": 2,
+            "runtime.num_datasets": 80,
+            "faults.mttf_periods": 30.0,
+            "faults.mttr_periods": 10.0,
+        }
     )
 
     @staticmethod
@@ -629,14 +708,16 @@ class TestGoldenSeedResults:
         ],
     )
     def test_shed_admission_goldens(self, seed, fingerprint, completed, rebuilds):
-        trace = run_trial(self.SPEC, seed)
+        trace = run_scenario_online(self.SPEC, seed)
         assert trace.completed_count == completed
         assert trace.num_rebuilds == rebuilds
         assert self._fingerprint(trace) == fingerprint
 
     def test_queue_admission_with_repair_rebuilds_golden(self):
-        spec = self.SPEC.with_overrides(admission="queue", rebuild_on_repair=True)
-        trace = run_trial(spec, 3)
+        spec = self.SPEC.updated(
+            {"runtime.admission": "queue", "runtime.rebuild_on_repair": True}
+        )
+        trace = run_scenario_online(spec, 3)
         assert trace.completed_count == 80
         assert trace.num_rebuilds == 10
         assert self._fingerprint(trace) == "3b4989b521b3a713"

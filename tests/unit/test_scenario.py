@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SpecificationError
 from repro.runtime.admission import ADMISSION_POLICIES
-from repro.runtime.montecarlo import RuntimeTrialSpec
 from repro.runtime.policies import RESCHEDULE_POLICIES
 from repro.scenario import (
     PLATFORM_BUILDERS,
@@ -198,7 +197,7 @@ class TestRegistries:
 
     def test_trial_spec_uses_suggesting_errors(self):
         with pytest.raises(ValueError, match="did you mean 'remap'"):
-            RuntimeTrialSpec(policy="remp")
+            ScenarioSpec().updated({"runtime.policy": "remp"})
 
     def test_expected_names_are_registered(self):
         assert {"paper", "chain", "video", "layered"} <= set(WORKLOAD_GENERATORS)
@@ -260,48 +259,3 @@ class TestGridAndUpdates:
     def test_grid_points_are_validated(self):
         with pytest.raises(SpecificationError):
             ScenarioSpec().grid({"faults.mttf_periods": [-5.0]})
-
-
-class TestTrialSpecBridge:
-    def test_to_scenario_maps_every_field(self):
-        trial = RuntimeTrialSpec(
-            granularity=0.5,
-            num_tasks=12,
-            num_processors=7,
-            epsilon=1,
-            num_datasets=40,
-            mttf_periods=60.0,
-            distribution="weibull",
-            weibull_shape=0.8,
-            mttr_periods=20.0,
-            policy="remap",
-            admission="queue",
-            queue_capacity=None,
-            checkpoint=False,
-            rebuild_on_repair=True,
-            rebuild_overhead=2.0,
-            period_slack=3.0,
-        )
-        scenario = trial.to_scenario()
-        assert scenario.workload.granularity == 0.5
-        assert scenario.workload.num_tasks == 12
-        assert scenario.workload.num_processors == 7
-        assert scenario.scheduler.epsilon == 1
-        assert scenario.scheduler.period_slack == 3.0
-        assert scenario.faults.mttf_periods == 60.0
-        assert scenario.faults.mttr_periods == 20.0
-        assert scenario.faults.distribution == "weibull"
-        assert scenario.faults.weibull_shape == 0.8
-        assert scenario.runtime.num_datasets == 40
-        assert scenario.runtime.policy == "remap"
-        assert scenario.runtime.admission == "queue"
-        assert scenario.runtime.queue_capacity is None
-        assert scenario.runtime.checkpoint is False
-        assert scenario.runtime.rebuild_on_repair is True
-        assert scenario.runtime.rebuild_overhead == 2.0
-
-    def test_positional_construction_still_works(self):
-        trial = RuntimeTrialSpec(1.0, 15, 6, 1, 30)
-        assert trial.num_tasks == 15
-        assert trial.epsilon == 1
-        assert trial.num_datasets == 30
