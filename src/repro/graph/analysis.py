@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-import networkx as nx
-
 from repro.exceptions import GraphError
 from repro.graph.dag import TaskGraph
 
@@ -118,25 +116,76 @@ def graph_width(graph: TaskGraph, exact: bool = True) -> int:
     """Width ``ω`` of the DAG: the maximum number of pairwise-independent tasks.
 
     The exact value is computed via Dilworth's theorem (maximum antichain =
-    size of a minimum chain cover), using a maximum bipartite matching on the
-    transitive closure; set ``exact=False`` for the cheaper per-level
-    upper-bound-free approximation :func:`level_width` on large graphs.
+    size of a minimum chain cover), using a maximum bipartite matching
+    (Hopcroft–Karp) on the transitive closure; set ``exact=False`` for the
+    cheaper per-level upper-bound-free approximation :func:`level_width` on
+    large graphs.
     """
     graph.validate()
     if not exact:
         return level_width(graph)
-    g = graph.to_networkx()
-    closure = nx.transitive_closure_dag(g)
-    left = {f"L::{n}" for n in closure.nodes}
-    bipartite = nx.Graph()
-    bipartite.add_nodes_from(left, bipartite=0)
-    bipartite.add_nodes_from((f"R::{n}" for n in closure.nodes), bipartite=1)
-    for u, v in closure.edges:
-        bipartite.add_edge(f"L::{u}", f"R::{v}")
-    matching = nx.bipartite.maximum_matching(bipartite, top_nodes=left)
-    # matching is a symmetric dict; each matched pair appears twice.
-    matched_pairs = sum(1 for k in matching if k.startswith("L::"))
-    return graph.num_tasks - matched_pairs
+    order = graph.topological_order()
+    index = {name: i for i, name in enumerate(order)}
+    # reach[i]: bitmask of the strict descendants of order[i] (transitive closure)
+    reach = [0] * len(order)
+    for name in reversed(order):
+        mask = 0
+        for succ in graph.successors(name):
+            j = index[succ]
+            mask |= reach[j] | (1 << j)
+        reach[index[name]] = mask
+    closure = [[j for j in range(len(order)) if mask >> j & 1] for mask in reach]
+    return graph.num_tasks - _maximum_matching(closure, len(order))
+
+
+def _maximum_matching(adjacency: list[list[int]], num_right: int) -> int:
+    """Size of a maximum matching of the bipartite graph ``left i → right
+    adjacency[i]`` (Hopcroft–Karp, iterative)."""
+    num_left = len(adjacency)
+    match_left = [-1] * num_left
+    match_right = [-1] * num_right
+    size = 0
+    while True:
+        # BFS: layer the left vertices by alternating-path distance from a free one
+        dist = [-1] * num_left
+        frontier = [u for u in range(num_left) if match_left[u] < 0]
+        for u in frontier:
+            dist[u] = 0
+        reachable_free = False
+        for u in frontier:  # the list grows while it is scanned
+            for v in adjacency[u]:
+                w = match_right[v]
+                if w < 0:
+                    reachable_free = True
+                elif dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    frontier.append(w)
+        if not reachable_free:
+            return size
+        # DFS: vertex-disjoint shortest augmenting paths along the layers
+        cursor = [0] * num_left
+        for root in range(num_left):
+            if match_left[root] >= 0:
+                continue
+            path = [root]
+            while path:
+                u = path[-1]
+                if cursor[u] == len(adjacency[u]):
+                    dist[u] = -1  # dead end for the rest of this phase
+                    path.pop()
+                    continue
+                v = adjacency[u][cursor[u]]
+                cursor[u] += 1
+                w = match_right[v]
+                if w < 0:
+                    for x in path:  # each vertex on the path takes the edge it last followed
+                        y = adjacency[x][cursor[x] - 1]
+                        match_left[x] = y
+                        match_right[y] = x
+                    size += 1
+                    break
+                if dist[w] == dist[u] + 1:
+                    path.append(w)
 
 
 def level_width(graph: TaskGraph) -> int:

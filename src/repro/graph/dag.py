@@ -10,19 +10,22 @@ processor).
 The class is intentionally independent from :mod:`networkx` in its core data
 structures (plain dictionaries keep the hot scheduling loops fast and the
 semantics explicit), but it can export a :class:`networkx.DiGraph` for
-interoperability, and the cycle check reuses a simple iterative DFS.
+interoperability (``networkx`` is an optional dependency, imported only by
+:meth:`TaskGraph.to_networkx`), and the cycle check reuses a simple
+iterative DFS.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.exceptions import CycleError, GraphError
 from repro.graph.task import Task
 from repro.utils.checks import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["TaskGraph"]
 
@@ -223,7 +226,13 @@ class TaskGraph:
 
     # ------------------------------------------------------------------ exports
     def to_networkx(self) -> nx.DiGraph:
-        """Export as a :class:`networkx.DiGraph` (node attr ``work``, edge attr ``volume``)."""
+        """Export as a :class:`networkx.DiGraph` (node attr ``work``, edge attr ``volume``).
+
+        Needs the optional ``networkx`` package (``pip install
+        repro-streaming[networkx]``).
+        """
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for t in self._tasks.values():
             g.add_node(t.name, work=t.work)

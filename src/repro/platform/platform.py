@@ -3,6 +3,11 @@
 Bandwidths are stored per ordered processor pair; by default the platform is
 symmetric (``d_kh = d_hk``), which matches the paper's model, but asymmetric
 links are supported because nothing in the algorithms depends on symmetry.
+
+The schedulers read link bandwidths and the platform-wide averages once per
+edge and per placement test, so both are memoised: a dense
+``(src, dst) → bandwidth`` table and the speed/bandwidth statistics are built
+on first read, dropped by :meth:`Platform.set_bandwidth`, and never pickled.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ class Platform:
         check_positive(default_bandwidth, "default_bandwidth")
         self._default_bandwidth = float(default_bandwidth)
         self._bandwidths: dict[tuple[str, str], float] = {}
+        self._links: dict[tuple[str, str], float] | None = None
+        self._stats: dict[str, float] | None = None
         self._failure_domains = self._check_domains(failure_domains)
 
         if bandwidths is None:
@@ -92,6 +99,10 @@ class Platform:
                 seen.add(member)
             checked[domain] = members
         return checked
+
+    def __getstate__(self) -> dict:
+        # the memoised table and statistics are rebuilt on demand
+        return {**self.__dict__, "_links": None, "_stats": None}
 
     # ---------------------------------------------------------------- accessors
     @property
@@ -145,6 +156,21 @@ class Platform:
         self._bandwidths[(src, dst)] = float(bandwidth)
         if symmetric:
             self._bandwidths[(dst, src)] = float(bandwidth)
+        self._links = None
+        self._stats = None
+
+    def _link_table(self) -> dict[tuple[str, str], float]:
+        """Dense ``(src, dst) → bandwidth`` over every ordered pair, ``inf`` on the diagonal."""
+        table = {}
+        for src in self._order:
+            for dst in self._order:
+                table[(src, dst)] = (
+                    float("inf")
+                    if src == dst
+                    else self._bandwidths.get((src, dst), self._default_bandwidth)
+                )
+        self._links = table
+        return table
 
     def bandwidth(self, src: str, dst: str) -> float:
         """Bandwidth ``d_kh`` of the link from *src* to *dst*.
@@ -152,11 +178,14 @@ class Platform:
         Local "links" (``src == dst``) report infinite bandwidth, consistent
         with communications between co-located tasks being free.
         """
-        self.processor(src)
-        self.processor(dst)
-        if src == dst:
-            return float("inf")
-        return self._bandwidths.get((src, dst), self._default_bandwidth)
+        table = self._links
+        if table is None:
+            table = self._link_table()
+        try:
+            return table[(src, dst)]
+        except KeyError:
+            unknown = dst if src in self._processors else src
+            raise PlatformError(f"unknown processor {unknown!r}") from None
 
     # -------------------------------------------------------------------- costs
     def execution_time(self, work: float, processor: str) -> float:
@@ -176,20 +205,34 @@ class Platform:
         """Vector of processor speeds in declaration order."""
         return np.array([self._processors[n].speed for n in self._order], dtype=float)
 
+    def _statistics(self) -> dict[str, float]:
+        stats = self._stats
+        if stats is None:
+            speeds = self.speeds
+            links = self._all_bandwidths()
+            stats = self._stats = {
+                "min_speed": float(speeds.min()),
+                "max_speed": float(speeds.max()),
+                "mean_inverse_speed": float((1.0 / speeds).mean()),
+                "min_bandwidth": float(links.min()),
+                "mean_inverse_bandwidth": float((1.0 / links).mean()),
+            }
+        return stats
+
     @property
     def min_speed(self) -> float:
         """Speed of the slowest processor."""
-        return float(self.speeds.min())
+        return self._statistics()["min_speed"]
 
     @property
     def max_speed(self) -> float:
         """Speed of the fastest processor."""
-        return float(self.speeds.max())
+        return self._statistics()["max_speed"]
 
     @property
     def mean_inverse_speed(self) -> float:
         """Average of ``1/s_u`` — used for average execution times in priorities."""
-        return float((1.0 / self.speeds).mean())
+        return self._statistics()["mean_inverse_speed"]
 
     def _all_bandwidths(self) -> np.ndarray:
         vals = []
@@ -202,12 +245,12 @@ class Platform:
     @property
     def min_bandwidth(self) -> float:
         """Bandwidth of the slowest link."""
-        return float(self._all_bandwidths().min())
+        return self._statistics()["min_bandwidth"]
 
     @property
     def mean_inverse_bandwidth(self) -> float:
         """Average of ``1/d_kh`` over distinct pairs — used for average communication times."""
-        return float((1.0 / self._all_bandwidths()).mean())
+        return self._statistics()["mean_inverse_bandwidth"]
 
     @property
     def fastest_processor(self) -> str:

@@ -513,4 +513,7 @@ def _pool_map(fn, items, workers, chaos, timeout, stop, state: _MapState) -> Non
         if in_flight:
             _kill_pool(executor)
         else:
-            executor.shutdown(wait=False)
+            # join the idle workers here: left to the interpreter's exit
+            # hook, the join can race its pipes closing and print
+            # "Exception ignored ... Bad file descriptor"
+            executor.shutdown(wait=True)

@@ -5,9 +5,9 @@ engaged in **at most one outgoing and one incoming communication at a time**
 (while still computing).  The scheduling heuristics therefore need, for every
 processor, two *timelines* — one for the out-port, one for the in-port — plus
 one timeline per processor for the compute resource itself.  A timeline is a
-sorted list of non-overlapping busy :class:`Interval` objects supporting
-insertion-based earliest-slot queries ("when is the first instant ``>= ready``
-at which this resource is free for ``duration`` time units?").
+sorted set of non-overlapping busy intervals supporting insertion-based
+earliest-slot queries ("when is the first instant ``>= ready`` at which this
+resource is free for ``duration`` time units?").
 
 The same structure is reused for every resource, so it lives in
 :mod:`repro.utils` rather than in the schedule package.
@@ -27,6 +27,14 @@ __all__ = ["Interval", "Timeline", "earliest_common_slot"]
 _EPS = 1e-9
 
 
+def _check_endpoints(start: float, end: float) -> None:
+    """Reject a span ``[start, end)`` with a NaN endpoint or an end before its start."""
+    if math.isnan(start) or math.isnan(end):
+        raise ValueError("interval endpoints must not be NaN")
+    if end < start - _EPS:
+        raise ValueError(f"interval end {end} precedes start {start}")
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """A half-open busy interval ``[start, end)`` with an opaque label.
@@ -41,10 +49,7 @@ class Interval:
     label: object = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if math.isnan(self.start) or math.isnan(self.end):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.end < self.start - _EPS:
-            raise ValueError(f"interval end {self.end} precedes start {self.start}")
+        _check_endpoints(self.start, self.end)
 
     @property
     def duration(self) -> float:
@@ -69,59 +74,67 @@ class Timeline:
       is idle for ``duration`` consecutive time units;
     * :meth:`reserve` — mark ``[start, start + duration)`` as busy.
 
-    The busy intervals are kept sorted by start time; both operations are
+    The busy intervals are stored as three parallel lists sorted by start
+    time — starts, ends and labels — so queries and reservations compare
+    plain floats; :class:`Interval` objects are built only when the
+    intervals are read (:attr:`intervals`, iteration).  Both operations are
     ``O(log n)`` for the search plus ``O(n)`` worst case for the scan /
-    insertion, which is ample for the graph sizes used in the paper
-    (50–150 tasks, 20 processors).
+    insertion: a list scheduler issues millions of them on a 100-task,
+    40-processor instance, and each resource holds at most a few hundred
+    intervals.
     """
 
     def __init__(self, intervals: Sequence[Interval] | None = None):
         self._starts: list[float] = []
-        self._intervals: list[Interval] = []
-        if intervals:
-            for iv in sorted(intervals):
-                self.reserve(iv.start, iv.duration, iv.label)
+        self._ends: list[float] = []
+        self._labels: list[object] = []
+        for iv in sorted(intervals or ()):
+            if iv.duration > _EPS:
+                self._insert(iv.start, iv.end, iv.label)
 
     # ------------------------------------------------------------------ dunder
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._starts)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
+        return iter(self.intervals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        body = ", ".join(f"[{iv.start:g},{iv.end:g})" for iv in self._intervals)
+        body = ", ".join(f"[{s:g},{e:g})" for s, e in zip(self._starts, self._ends))
         return f"Timeline({body})"
 
     # ----------------------------------------------------------------- queries
     @property
     def intervals(self) -> tuple[Interval, ...]:
         """The busy intervals, sorted by start time."""
-        return tuple(self._intervals)
+        return tuple(map(Interval, self._starts, self._ends, self._labels))
 
     @property
     def busy_time(self) -> float:
         """Total busy duration."""
-        return sum(iv.duration for iv in self._intervals)
+        return sum(e - s for s, e in zip(self._starts, self._ends))
 
     @property
     def makespan(self) -> float:
         """End of the last busy interval (0 when the timeline is empty)."""
-        if not self._intervals:
-            return 0.0
-        return self._intervals[-1].end
+        return self._ends[-1] if self._ends else 0.0
 
     def is_free(self, start: float, duration: float) -> bool:
         """True when ``[start, start + duration)`` does not overlap any busy interval."""
         if duration <= _EPS:
             return True
-        probe = Interval(start, start + duration)
-        idx = bisect.bisect_left(self._starts, start) - 1
-        for i in range(max(idx, 0), len(self._intervals)):
-            iv = self._intervals[i]
-            if iv.start >= probe.end - _EPS:
+        end = start + duration
+        _check_endpoints(start, end)
+        return self._is_free(start, end, bisect.bisect_left(self._starts, start))
+
+    def _is_free(self, start: float, end: float, idx: int) -> bool:
+        """Overlap scan from the interval before insertion index *idx*."""
+        starts, ends = self._starts, self._ends
+        limit = end - _EPS
+        for i in range(max(idx - 1, 0), len(starts)):
+            if starts[i] >= limit:
                 break
-            if iv.overlaps(probe):
+            if start < ends[i] - _EPS:
                 return False
         return True
 
@@ -134,40 +147,44 @@ class Timeline:
         if duration <= _EPS:
             return ready
         candidate = ready
-        for iv in self._intervals:
-            if iv.end <= candidate + _EPS:
+        for start, end in zip(self._starts, self._ends):
+            if end <= candidate + _EPS:
                 continue
-            if iv.start >= candidate + duration - _EPS:
+            if start >= candidate + duration - _EPS:
                 break
-            candidate = max(candidate, iv.end)
+            if end > candidate:
+                candidate = end
         return candidate
 
     # --------------------------------------------------------------- mutation
-    def reserve(self, start: float, duration: float, label: object = None) -> Interval:
-        """Mark ``[start, start + duration)`` busy and return the new interval.
+    def reserve(self, start: float, duration: float, label: object = None) -> None:
+        """Mark ``[start, start + duration)`` busy (a no-op for zero duration).
 
         Raises
         ------
         ValueError
-            If the requested span overlaps an existing busy interval.
+            If an endpoint is NaN, the span ends before it starts, or it
+            overlaps an existing busy interval.
         """
-        interval = Interval(start, start + duration, label)
-        if duration <= _EPS:
-            return interval
-        if not self.is_free(start, duration):
-            raise ValueError(
-                f"cannot reserve [{start:g}, {start + duration:g}): resource busy"
-            )
+        end = start + duration
+        _check_endpoints(start, end)
+        if duration > _EPS:
+            self._insert(start, end, label)
+
+    def _insert(self, start: float, end: float, label: object) -> None:
         idx = bisect.bisect_left(self._starts, start)
+        if not self._is_free(start, end, idx):
+            raise ValueError(f"cannot reserve [{start:g}, {end:g}): resource busy")
         self._starts.insert(idx, start)
-        self._intervals.insert(idx, interval)
-        return interval
+        self._ends.insert(idx, end)
+        self._labels.insert(idx, label)
 
     def copy(self) -> "Timeline":
-        """Shallow copy of the timeline (intervals are immutable)."""
-        clone = Timeline()
-        clone._starts = list(self._starts)
-        clone._intervals = list(self._intervals)
+        """Independent copy of the timeline (labels are shared)."""
+        clone = Timeline.__new__(Timeline)
+        clone._starts = self._starts[:]
+        clone._ends = self._ends[:]
+        clone._labels = self._labels[:]
         return clone
 
 

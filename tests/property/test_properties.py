@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import pytest
@@ -17,7 +18,7 @@ from repro.platform.builders import heterogeneous_platform, homogeneous_platform
 from repro.schedule.metrics import communication_count, latency_upper_bound
 from repro.schedule.stages import compute_stages, num_stages
 from repro.schedule.validation import check_resilience, validate_schedule
-from repro.utils.intervals import Timeline
+from repro.utils.intervals import Timeline, earliest_common_slot
 
 # Keep hypothesis examples modest: each example builds graphs and schedules.
 SLOW = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -57,6 +58,156 @@ def test_timeline_busy_time_is_sum_of_reserved_durations(reservations):
             tl.reserve(start, dur)
             total += dur
     assert tl.busy_time == pytest.approx(total)
+
+
+class _ReferenceTimeline:
+    """The original timeline algorithm over a sorted list of ``(start, end)``
+    tuples: the oracle the flat-list :class:`Timeline` must agree with."""
+
+    EPS = 1e-9
+
+    def __init__(self):
+        self.spans: list[tuple[float, float]] = []
+
+    @staticmethod
+    def _check(start, end):
+        if math.isnan(start) or math.isnan(end):
+            raise ValueError("interval endpoints must not be NaN")
+        if end < start - _ReferenceTimeline.EPS:
+            raise ValueError(f"interval end {end} precedes start {start}")
+
+    def is_free(self, start, duration):
+        if duration <= self.EPS:
+            return True
+        end = start + duration
+        self._check(start, end)
+        idx = bisect.bisect_left([s for s, _ in self.spans], start) - 1
+        for s, e in self.spans[max(idx, 0):]:
+            if s >= end - self.EPS:
+                break
+            if s < end - self.EPS and start < e - self.EPS:
+                return False
+        return True
+
+    def earliest_slot(self, ready, duration):
+        if duration <= self.EPS:
+            return ready
+        candidate = ready
+        for s, e in self.spans:
+            if e <= candidate + self.EPS:
+                continue
+            if s >= candidate + duration - self.EPS:
+                break
+            candidate = max(candidate, e)
+        return candidate
+
+    def reserve(self, start, duration):
+        self._check(start, start + duration)
+        if duration <= self.EPS:
+            return
+        if not self.is_free(start, duration):
+            raise ValueError(f"cannot reserve [{start:g}, {start + duration:g}): resource busy")
+        idx = bisect.bisect_left([s for s, _ in self.spans], start)
+        self.spans.insert(idx, (start, start + duration))
+
+
+def _reference_common_slot(timelines, ready, duration):
+    if duration <= _ReferenceTimeline.EPS or not timelines:
+        return ready
+    candidate = ready
+    while True:
+        moved = False
+        for tl in timelines:
+            slot = tl.earliest_slot(candidate, duration)
+            if slot > candidate + _ReferenceTimeline.EPS:
+                candidate = slot
+                moved = True
+        if not moved:
+            return candidate
+
+
+def _outcome(call, *args):
+    """The result of a call, or the message of the ValueError it raises."""
+    try:
+        return repr(call(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Endpoints sit on a half-unit grid or on an endpoint already stored, offset
+# by less than, about and more than the 1e-9 comparison tolerance, so the
+# boundary case of every comparison is a common case.
+_JITTER = st.sampled_from([0.0, 0.0, 1e-10, -1e-10, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9])
+_instants = (
+    st.builds(lambda base, jitter: base / 2 + jitter, st.integers(0, 12), _JITTER)
+    | st.floats(0, 10)
+    | st.just(math.nan)
+)
+_durations = (
+    st.builds(lambda base, jitter: base / 2 + jitter, st.integers(1, 5), _JITTER)
+    | st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, -1e-10, -1.0, math.nan])
+    | st.floats(1e-3, 4)
+)
+
+
+#: ``None``, or ``(index into the stored endpoints, jitter)``
+_anchors = st.none() | st.tuples(st.integers(0, 79), _JITTER)
+_timeline_ops = st.lists(
+    st.tuples(st.integers(0, 1), st.booleans(), _instants, _anchors, _durations, _anchors),
+    min_size=10,
+    max_size=40,
+)
+
+
+def _span(spans, instant, start_anchor, duration, end_anchor):
+    """``(instant, duration)``, re-aimed to start or end within a jitter of a
+    stored endpoint when an anchor is given."""
+    endpoints = [x for span in spans for x in span]
+    if endpoints and start_anchor is not None:
+        instant = endpoints[start_anchor[0] % len(endpoints)] + start_anchor[1]
+    if endpoints and end_anchor is not None:
+        duration = endpoints[end_anchor[0] % len(endpoints)] - instant + end_anchor[1]
+    return instant, duration
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_timeline_ops)
+def test_timeline_matches_reference_model(ops):
+    timelines = [Timeline(), Timeline()]
+    references = [_ReferenceTimeline(), _ReferenceTimeline()]
+    for n, (which, is_reserve, *span) in enumerate(ops):
+        tl, ref = timelines[which], references[which]
+        instant, duration = _span(ref.spans, *span)
+        if is_reserve:
+            assert _outcome(tl.reserve, instant, duration, n) == _outcome(
+                ref.reserve, instant, duration
+            )
+            continue
+        assert _outcome(tl.earliest_slot, instant, duration) == _outcome(
+            ref.earliest_slot, instant, duration
+        )
+        assert _outcome(tl.is_free, instant, duration) == _outcome(
+            ref.is_free, instant, duration
+        )
+        assert _outcome(earliest_common_slot, timelines, instant, duration) == _outcome(
+            _reference_common_slot, references, instant, duration
+        )
+    for tl, ref in zip(timelines, references):
+        stored = tl.intervals
+        assert [(iv.start, iv.end) for iv in stored] == ref.spans
+        assert len(tl) == len(ref.spans)
+        # Interval equality ignores labels: compare them separately
+        rebuilt = Timeline(stored).intervals
+        assert rebuilt == stored
+        assert [iv.label for iv in rebuilt] == [iv.label for iv in stored]
+        # a copy and its original evolve independently
+        clone = tl.copy()
+        clone.reserve(100.0, 1.0, "clone-only")
+        tl.reserve(200.0, 1.0, "original-only")
+        assert clone.intervals == stored + (clone.intervals[-1],)
+        assert tl.intervals == stored + (tl.intervals[-1],)
+        assert clone.intervals[-1].label == "clone-only"
+        assert tl.intervals[-1].label == "original-only"
 
 
 # ------------------------------------------------------------------------ graph

@@ -23,6 +23,7 @@ from repro.graph.examples import (
     sensor_fusion_graph,
     video_encoding_pipeline,
 )
+from repro.graph.generator import random_layered_dag
 from repro.graph.task import Task
 from repro.platform.builders import figure2_platform, heterogeneous_platform
 
@@ -118,6 +119,7 @@ class TestTaskGraph:
         assert fig2.total_volume == pytest.approx(18.0)
 
     def test_networkx_round_trip(self, fig2):
+        pytest.importorskip("networkx")  # optional dependency
         g2 = TaskGraph.from_networkx(fig2.to_networkx())
         assert g2.num_tasks == fig2.num_tasks
         assert g2.num_edges == fig2.num_edges
@@ -189,6 +191,26 @@ class TestAnalysis:
 
     def test_width_figure2(self, fig2):
         assert graph_width(fig2) == 3
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_width_matches_networkx_matching(self, seed):
+        nx = pytest.importorskip("networkx")
+        graph = random_layered_dag(
+            num_tasks=8 + 4 * seed,
+            mean_layer_width=2.0 + 3.0 * (seed % 4),
+            edge_probability=0.1 + 0.2 * (seed % 3),
+            seed=seed,
+        )
+        closure = nx.transitive_closure_dag(graph.to_networkx())
+        bipartite = nx.Graph()
+        left = [("L", n) for n in closure.nodes]
+        bipartite.add_nodes_from(left)
+        bipartite.add_nodes_from(("R", n) for n in closure.nodes)
+        bipartite.add_edges_from((("L", u), ("R", v)) for u, v in closure.edges)
+        matching = nx.bipartite.maximum_matching(bipartite, top_nodes=left)
+        matched = sum(1 for node in matching if node[0] == "L")
+        assert graph_width(graph) == graph.num_tasks - matched
+        assert level_width(graph) <= graph_width(graph)
 
     def test_heterogeneous_levels_use_average_times(self, fig2):
         platform = heterogeneous_platform(5, seed=3)

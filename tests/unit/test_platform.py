@@ -1,5 +1,8 @@
 """Unit tests for the platform model."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.exceptions import PlatformError
@@ -85,6 +88,73 @@ class TestPlatform:
     def test_contains_and_iter(self, homo4):
         assert "P1" in homo4
         assert len(list(homo4)) == 4
+
+
+class TestMemoisedStatistics:
+    """The link table and the aggregate statistics are memoised: every read
+    must still see the current links, and the memo must never leak out."""
+
+    @staticmethod
+    def _links(p):
+        names = p.processor_names
+        return {(a, b): p.bandwidth(a, b) for a in names for b in names}
+
+    def test_statistics_are_the_numpy_expressions(self):
+        p = heterogeneous_platform(6, seed=4)
+        names = p.processor_names
+        links = np.array([p.bandwidth(a, b) for a in names for b in names if a != b])
+        speeds = np.array([p.speed(n) for n in names])
+        assert p.min_bandwidth == float(links.min())
+        assert p.mean_inverse_bandwidth == float((1.0 / links).mean())
+        assert p.min_speed == float(speeds.min())
+        assert p.max_speed == float(speeds.max())
+        assert p.mean_inverse_speed == float((1.0 / speeds).mean())
+
+    def test_set_bandwidth_invalidates_earlier_reads(self):
+        p = heterogeneous_platform(5, seed=3)
+        before = (p.bandwidth("P1", "P2"), p.min_bandwidth, p.mean_inverse_bandwidth)
+        p.set_bandwidth("P1", "P2", 0.01)
+        assert p.bandwidth("P1", "P2") == p.bandwidth("P2", "P1") == 0.01
+        assert p.min_bandwidth == 0.01
+        assert p.mean_inverse_bandwidth > before[2]
+        # a platform declared with the new links from the start agrees bit for bit
+        fresh = Platform(p.processors, bandwidths=self._links(p))
+        assert p.mean_inverse_bandwidth == fresh.mean_inverse_bandwidth
+        assert p.min_bandwidth == fresh.min_bandwidth
+
+    @pytest.mark.parametrize("src,dst", [("P99", "P99"), ("P1", "P99"), ("P99", "P1")])
+    def test_unknown_names_raise_before_and_after_the_table_exists(self, src, dst):
+        p = homogeneous_platform(3)
+        with pytest.raises(PlatformError, match="P99"):
+            p.bandwidth(src, dst)
+        p.bandwidth("P1", "P2")  # builds the table
+        with pytest.raises(PlatformError, match="P99"):
+            p.bandwidth(src, dst)
+        assert p.bandwidth("P2", "P2") == float("inf")
+
+    def test_subset_keeps_per_link_bandwidths(self):
+        p = heterogeneous_platform(6, seed=5)
+        p.set_bandwidth("P4", "P1", 7.5, symmetric=False)
+        p.min_bandwidth  # memoise on the parent first
+        names = ["P4", "P1", "P6"]
+        sub = p.subset(names)
+        for a in names:
+            for b in names:
+                assert sub.bandwidth(a, b) == p.bandwidth(a, b)
+        assert sub.bandwidth("P4", "P1") == 7.5
+
+    def test_pickle_round_trip_drops_the_memo(self):
+        used = heterogeneous_platform(5, seed=3)
+        links = self._links(used)
+        stats = (used.min_bandwidth, used.mean_inverse_bandwidth, used.mean_inverse_speed)
+        data = pickle.dumps(used)
+        assert len(data) == len(pickle.dumps(heterogeneous_platform(5, seed=3)))
+        clone = pickle.loads(data)
+        assert self._links(clone) == links
+        assert (clone.min_bandwidth, clone.mean_inverse_bandwidth, clone.mean_inverse_speed) == stats
+        clone.set_bandwidth("P1", "P2", 0.01)
+        assert clone.min_bandwidth == 0.01
+        assert used.bandwidth("P1", "P2") == links[("P1", "P2")]
 
 
 class TestBuilders:
