@@ -9,10 +9,10 @@ observe what really happens when processors crash mid-stream).
 Since the kernel extraction, the actual event loop lives in
 :class:`repro.sim.kernel.PipelineKernel` — the same loop that powers the
 online runtime (:mod:`repro.runtime.engine`).  :class:`StreamingSimulator` is
-the *batch driver* of that kernel: it admits every data set up front
-(replica-major event order, preserved byte-for-byte across the extraction),
-runs the kernel to completion under a fixed crash scenario, and packages the
-per-dataset latencies into a :class:`SimulationResult`:
+the *batch driver* of that kernel: it admits the stream window by window
+(replica-major event order, identical tie for tie to admitting every data
+set up front), runs the kernel to completion under a fixed crash scenario,
+and packages the per-dataset latencies into a :class:`SimulationResult`:
 
 * every replica executes one *compute operation* per data set, on its assigned
   processor, in FIFO order of the data sets;
@@ -97,7 +97,8 @@ class StreamingSimulator:
     closed form — O(warm-up + pipeline depth) events instead of
     O(num_datasets) — with results bit-identical to the full event loop.
     Workloads that fail the certificate (non-grid durations), explicit
-    release lists, and short streams simply take the historical batch path.
+    release lists, and short streams run every event on the retaining
+    kernel, through the same windowed loop.
     """
 
     def __init__(
@@ -137,16 +138,28 @@ class StreamingSimulator:
         Parameters
         ----------
         release_times:
-            Optional per-dataset release instants (non-decreasing, one per data
-            set).  By default data set ``j`` enters the system at ``j·Δ``; the
-            online runtime passes explicit admission times so that a stream
-            segment can resume mid-trace.
+            Optional per-dataset release instants (finite, non-negative and
+            non-decreasing, one per data set).  By default data set ``j``
+            enters the system at ``j·Δ``; the online runtime passes explicit
+            admission times so that a stream segment can resume mid-trace.
+
+        The stream is admitted one window of
+        :data:`repro.sim.steady.DEFAULT_WINDOW` data sets at a time through
+        :meth:`~repro.sim.kernel.PipelineKernel.admit_window`, whose
+        preassigned sequence numbers make the pop order identical to a
+        one-shot admission.  Each ``run_until`` stops just *below* the next
+        window's first release, so same-instant release/compute ties keep
+        resolving release-first exactly as they would with every release
+        already in the heap.  A uniform stream that passes the exactness
+        certificate runs on an evicting kernel watched by a
+        :class:`~repro.sim.steady.SteadyStateDetector`, and
+        :func:`~repro.sim.steady.leap` skips its quiet stretches; every other
+        stream runs on the retaining kernel.
         """
         if num_datasets < 1:
             raise ValueError(f"num_datasets must be >= 1, got {num_datasets}")
         period = self.schedule.period
-        uniform = release_times is None
-        if uniform:
+        if release_times is None:
             releases = (np.arange(num_datasets, dtype=np.float64) * period).tolist()
         else:
             releases = [float(t) for t in release_times]
@@ -154,123 +167,49 @@ class StreamingSimulator:
                 raise ValueError(
                     f"release_times has {len(releases)} entries, expected {num_datasets}"
                 )
-            if any(b < a for a, b in zip(releases, releases[1:])) or (
-                releases and releases[0] < 0
-            ):
+            if not all(map(math.isfinite, releases)):
+                raise ValueError("release_times must be finite")
+            if any(b < a for a, b in zip(releases, releases[1:])) or releases[0] < 0:
                 raise ValueError("release_times must be non-negative and non-decreasing")
 
-        self.last_fast_forward = {"windows": 0, "datasets": 0}
-        if uniform and self.fast_forward and period > 0:
-            window = steady.DEFAULT_WINDOW
-            if num_datasets >= 3 * window:
-                kernel = PipelineKernel(
-                    self.schedule,
-                    self.scenario.failed,
-                    require_exit_coverage=False,
-                    valid_replicas=self._valid_map,
-                    retain_history=False,
-                    fast_forward=True,
-                )
-                grid_exp = steady.certified_grid(
-                    kernel, period, num_datasets * period
-                )
-                if grid_exp is not None:
-                    return self._run_fast(
-                        kernel, num_datasets, period, grid_exp, window
-                    )
+        window = steady.DEFAULT_WINDOW
+        detector = None
+        if (
+            release_times is None
+            and self.fast_forward
+            and period > 0
+            and num_datasets >= 3 * window
+        ):
+            kernel = self._kernel(retain_history=False)
+            grid_exp = steady.certified_grid(kernel, period, num_datasets * period)
+            if grid_exp is not None:
+                detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
+        if detector is None:
+            kernel = self._kernel(retain_history=True)
 
-        # The constructor already computed the validity closure and checked
-        # exit coverage; hand both over so the kernel does not redo the work.
-        kernel = PipelineKernel(
-            self.schedule,
-            self.scenario.failed,
-            require_exit_coverage=False,
-            valid_replicas=self._valid_map,
-        )
-        if uniform:
-            # Uniform j·Δ releases take the vectorized fast path: the release
-            # events come from a numpy arange + one heapify, event-for-event
-            # identical to admit_batch on the equivalent release list.
-            kernel.admit_batch_vectorized(num_datasets, period)
-        else:
-            kernel.admit_batch(releases)
+        completions: list[float | None] = [None] * num_datasets
+        skipped_windows = 0
+        j = 0
         with gc_paused():
             # millions of acyclic allocations; the cycle detector's scans are
             # pure overhead that grows with the stream (see repro.utils.gcpause)
-            kernel.run_to_completion()
-
-        latencies = []
-        completions = []
-        for dataset in range(num_datasets):
-            completion = kernel.completion_of(dataset)
-            if completion is None:
-                raise ScheduleError(
-                    f"data set {dataset} never completed — inconsistent schedule or scenario"
-                )
-            completions.append(completion)
-            latencies.append(completion - releases[dataset])
-        return SimulationResult(
-            latencies=tuple(latencies),
-            completion_times=tuple(completions),
-            period=period,
-        )
-
-    def _run_fast(
-        self,
-        kernel: PipelineKernel,
-        num_datasets: int,
-        period: float,
-        grid_exp: int,
-        window: int,
-    ) -> SimulationResult:
-        """The steady-state windowed drive (certified workloads only).
-
-        Admission happens one window at a time through
-        :meth:`~repro.sim.kernel.PipelineKernel.admit_stream_window`, whose
-        preassigned sequence numbers make the pop order identical to the
-        one-shot vectorized admission.  Each ``run_until`` stops just *below*
-        the next window's first release, so same-instant release/compute
-        ties keep resolving release-first exactly as they would with every
-        release already in the heap.  At each boundary the detector
-        fingerprints the kernel; on a lock the remaining quiet windows are
-        emitted as the last window's completions shifted by exact multiples
-        of ``(window·Δ, window)`` and the kernel lands at the far end.
-        """
-        completions: list[float | None] = [None] * num_datasets
-        detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
-        delta = detector.delta
-        skipped_windows = 0
-        template: list[tuple[int, float]] = []
-        j = 0
-        with gc_paused():
             while j < num_datasets:
                 stop = min(j + window, num_datasets)
-                kernel.admit_stream_window(j, stop, period, num_datasets)
+                kernel.admit_window(j, releases[j:stop], num_datasets)
                 j = stop
-                if j >= num_datasets:
+                if j == num_datasets:
                     break
-                boundary = j * period
-                drained = kernel.run_until(math.nextafter(boundary, -math.inf))
+                drained = kernel.run_until(math.nextafter(releases[j], -math.inf))
                 for d, t in drained:
                     completions[d] = t
-                template.extend(drained)
-                locked = detector.observe(boundary, j, True)
-                if not locked or len(template) != window:
-                    template.clear()
-                    continue
-                m = detector.max_windows(
-                    boundary, (num_datasets - j) // window, math.inf
-                )
-                if m >= 1:
-                    for s in range(1, m + 1):
-                        base = boundary + s * delta
-                        step = s * window
-                        for d, t in template:
-                            completions[d + step] = (t - boundary) + base
-                    detector.jump(m)
+                if detector is not None:
+                    m, skipped = steady.leap(
+                        detector, releases[j], j, True, drained, num_datasets, math.inf
+                    )
+                    for d, t in skipped:
+                        completions[d] = t
                     j += m * window
                     skipped_windows += m
-                template.clear()
             for d, t in kernel.run_to_completion():
                 completions[d] = t
         self.last_fast_forward = {
@@ -283,11 +222,22 @@ class StreamingSimulator:
                 raise ScheduleError(
                     f"data set {dataset} never completed — inconsistent schedule or scenario"
                 )
-            latencies.append(completion - dataset * period)
+            latencies.append(completion - releases[dataset])
         return SimulationResult(
             latencies=tuple(latencies),
             completion_times=tuple(completions),  # type: ignore[arg-type]
             period=period,
+        )
+
+    def _kernel(self, retain_history: bool) -> PipelineKernel:
+        # The constructor already computed the validity closure and checked
+        # exit coverage; hand both over so the kernel does not redo the work.
+        return PipelineKernel(
+            self.schedule,
+            self.scenario.failed,
+            require_exit_coverage=False,
+            valid_replicas=self._valid_map,
+            retain_history=retain_history,
         )
 
 

@@ -68,29 +68,13 @@ from repro.runtime.policies import ReschedulePolicy, resolve_policy
 from repro.runtime.trace import DatasetRecord, RuntimeEvent, RuntimeTrace
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import valid_replicas_under_failures
+from repro.sim import steady
 from repro.sim.kernel import PipelineKernel
-from repro.sim.steady import SteadyStateDetector, certified_grid
 from repro.utils.gcpause import gc_paused
 
 __all__ = ["OnlineRuntime", "run_online"]
 
 _INF = float("inf")
-
-#: data sets admitted per control-loop pass in ``checkpoint=True`` mode.
-#: Without a cap the zero-fault stream is admitted in one go and the kernel
-#: heap holds every release event of the stream at once — on 10⁵-dataset
-#: streams the heap's log factor (and its memory) then grows with the stream
-#: instead of the pipeline depth.  For the incremental executor the window is
-#: control-flow only — the admission policy sees the same ``on_release``
-#: calls in the same order with the same arguments and the kernel processes
-#: the same events, so traces are bit-identical for any window size.  The
-#: ``checkpoint=False`` flush executor is **exempt**: it seals whatever batch
-#: has accumulated every time it advances, so an extra advance at a window
-#: boundary would split one segment's batch across two cold-pipeline
-#: simulations and lose their cross-dataset contention — flush mode therefore
-#: keeps the historical unwindowed scan (its memory is per-segment anyway).
-_ADMIT_WINDOW = 256
-
 
 def _effective_period(schedule: Schedule) -> float:
     """Admission spacing of *schedule*: its period, or its real cycle time when
@@ -111,11 +95,10 @@ class _IncrementalExecutor:
     the retaining kernel, see ``tests/property``).
     """
 
-    def __init__(self, schedule: Schedule, probe=None, fast_forward: bool = False):
+    def __init__(self, schedule: Schedule, probe=None):
         self._probe = probe
-        self._fast_forward = bool(fast_forward)
         self._kernel: PipelineKernel | None = PipelineKernel(
-            schedule, retain_history=False, probe=probe, fast_forward=self._fast_forward
+            schedule, retain_history=False, probe=probe
         )
         self._ckpt: dict[int, frozenset[str]] = {}
 
@@ -152,12 +135,7 @@ class _IncrementalExecutor:
         self._kernel = None
 
     def on_rebuild_complete(self, schedule: Schedule, now: float, pending: Iterable[int]) -> None:
-        self._kernel = PipelineKernel(
-            schedule,
-            retain_history=False,
-            probe=self._probe,
-            fast_forward=self._fast_forward,
-        )
+        self._kernel = PipelineKernel(schedule, retain_history=False, probe=self._probe)
         for dataset in pending:
             self._kernel.admit_restored(dataset, now, self._ckpt.pop(dataset, ()))
 
@@ -200,7 +178,7 @@ class _FlushExecutor:
         # A data set admitted within float tolerance of the segment start can
         # land a hair before it; clamp to keep the kernel releases
         # non-negative (its recorded release stays exact).
-        kernel.admit_batch([max(0.0, t - seg_start) for _, t in batch])
+        kernel.admit_window(0, [max(0.0, t - seg_start) for _, t in batch], len(batch))
         kernel.run_to_completion()
         completions = []
         for k, (dataset, _) in enumerate(batch):
@@ -369,7 +347,7 @@ class OnlineRuntime:
             )
         )
         executor = (
-            _IncrementalExecutor(initial, probe, fast_forward=ff_eligible)
+            _IncrementalExecutor(initial, probe)
             if self.checkpoint
             else _FlushExecutor(initial, probe)
         )
@@ -397,13 +375,29 @@ class OnlineRuntime:
         abort_time = _INF
         pending: dict[int, float] = {}  # admitted, in flight: dataset -> release
 
+        # --- admission window: data sets admitted per control-loop pass in
+        # checkpoint=True mode.  Without a cap the zero-fault stream is
+        # admitted in one go and the kernel heap holds every release event of
+        # the stream at once — on 10⁵-dataset streams the heap's log factor
+        # (and its memory) then grows with the stream instead of the pipeline
+        # depth.  For the incremental executor the window is control-flow
+        # only — the admission policy sees the same on_release calls in the
+        # same order with the same arguments and the kernel processes the
+        # same events, so traces are bit-identical for any window size.  The
+        # checkpoint=False flush executor is **exempt**: it seals whatever
+        # batch has accumulated every time it advances, so an extra advance
+        # at a window boundary would split one segment's batch across two
+        # cold-pipeline simulations and lose their cross-dataset contention —
+        # flush mode therefore keeps the historical unwindowed scan (its
+        # memory is per-segment anyway).
+        window = steady.DEFAULT_WINDOW
+        windowed = self.checkpoint
         # --- steady-state fast forward (see repro.sim.steady): the detector
         # watches quiet window boundaries; ff_clean tracks whether every
         # release since the last boundary was admitted at its own instant;
         # ff_window buffers the boundary-to-boundary drained completions
         # (the synthesis template once the detector locks).
-        window = _ADMIT_WINDOW
-        ff_detector: SteadyStateDetector | None = None
+        ff_detector: steady.SteadyStateDetector | None = None
         ff_clean = True
         ff_window: list[tuple[int, float]] = []
 
@@ -417,9 +411,9 @@ class OnlineRuntime:
             kernel = executor.kernel() if ff_eligible else None
             if kernel is None:
                 return
-            grid_exp = certified_grid(kernel, period, horizon)
+            grid_exp = steady.certified_grid(kernel, period, horizon)
             if grid_exp is not None:
-                ff_detector = SteadyStateDetector(kernel, grid_exp, period, window)
+                ff_detector = steady.SteadyStateDetector(kernel, grid_exp, period, window)
 
         def ff_reset() -> None:
             """Forget detector history across any control event: the
@@ -490,49 +484,36 @@ class OnlineRuntime:
             """One quiet window boundary: fingerprint, and jump when locked.
 
             *limit* bounds the landing instant (the next fault arrival or
-            the horizon).  A lock proves the stream repeats the last window
-            forever under the exactness certificate, so the skipped records
-            are the template shifted by exact multiples of ``(window·Δ,
-            window)`` — synthesized in closed form, bit-identical to
-            simulating them event by event.
+            the horizon); :func:`repro.sim.steady.leap` synthesizes the
+            skipped records in closed form.
             """
             nonlocal next_j, next_slot, ff_clean
             template, clean = tuple(ff_window), ff_clean
             ff_window.clear()
             ff_clean = True
-            if not ff_detector.observe(t_base, next_j, clean):
-                return
-            if len(template) != window:
-                ff_detector.reset()  # steady throughput must match admission
-                return
-            budget = (num_datasets - next_j) // window
-            m = ff_detector.max_windows(t_base, budget, limit)
+            m, skipped = steady.leap(
+                ff_detector, t_base, next_j, clean, template, num_datasets, limit
+            )
             if m < 1:
                 return
-            delta = ff_detector.delta
-            for s in range(1, m + 1):
-                base = t_base + s * delta
-                step = s * window
-                for j, t in template:
-                    jj = j + step
-                    assert records[jj] is None
-                    records[jj] = (jj, releases[jj], (t - t_base) + base, "completed")
+            for j, t in skipped:
+                assert records[j] is None
+                records[j] = (j, releases[j], t, "completed")
             if probe is not None:
                 bulk: dict[float, int] = {}
                 for j, t in template:
                     lat = t - releases[j]
                     bulk[lat] = bulk.get(lat, 0) + m
                 probe.on_fast_forward(
-                    (t_base, t_base + m * delta), m * window, tuple(bulk.items())
+                    (t_base, t_base + m * ff_detector.delta), m * window, tuple(bulk.items())
                 )
-            _, j_new = ff_detector.jump(m)
+            shift = m * window
             live = sorted(pending)
             pending.clear()
-            shift = m * window
             for j in live:
                 pending[j + shift] = releases[j + shift]
-            next_j = j_new
-            next_slot = releases[j_new - 1] + admit_period
+            next_j += shift
+            next_slot = releases[next_j - 1] + admit_period
 
         def start_rebuild(now: float, kind: str, processor: str | None) -> None:
             nonlocal rebuilding, rebuild_done, down_since
@@ -558,12 +539,11 @@ class OnlineRuntime:
 
         ff_bind()
         i = 0
-        windowed = self.checkpoint  # see _ADMIT_WINDOW: flush mode is exempt
         while True:
             next_fault = fault_events[i].time if i < len(fault_events) else _INF
             now = min(next_fault, rebuild_done, horizon)
-            if windowed and next_j + _ADMIT_WINDOW < num_datasets:
-                now = min(now, releases[next_j + _ADMIT_WINDOW])
+            if windowed and next_j + window < num_datasets:
+                now = min(now, releases[next_j + window])
             scan_releases(now)
             if now >= horizon:
                 break  # the final advance happens in executor.finalize()

@@ -4,9 +4,11 @@ This package is the single event loop under both execution front ends of the
 reproduction:
 
 * the **offline simulator** (:mod:`repro.failures.simulator`) drives the
-  kernel in *batch* mode: every data set is admitted up front and the kernel
-  runs to completion under a fixed crash scenario — this is the sanity check
-  of the analytic latency model ``L = (2S − 1)·Δ``;
+  kernel in *batch* mode under a fixed crash scenario: the stream is
+  admitted window by window through :meth:`PipelineKernel.admit_window`,
+  whose preassigned sequence numbers make that order-identical to admitting
+  it all up front — this is the sanity check of the analytic latency model
+  ``L = (2S − 1)·Δ``;
 * the **online runtime** (:mod:`repro.runtime.engine`) drives the kernel
   *incrementally*: data sets are admitted as the stream releases them, fault
   events interleave with compute/transfer events in a single loop
@@ -23,8 +25,8 @@ Layering (bottom to top)::
             └── repro.experiments / repro.cli   campaigns, sweeps, reports
 
 Both drivers can skip provably-quiet stretches of a uniform stream in
-closed form via :mod:`repro.sim.steady` (certificate-guarded, bit-identical
-results — see ``docs/performance.md``).
+closed form through one function, :func:`repro.sim.steady.leap`
+(certificate-guarded, bit-identical results — see ``docs/performance.md``).
 
 The kernel only ever *reads* the :class:`~repro.schedule.schedule.Schedule`
 (mapping, communication topology, per-replica execution times via

@@ -48,25 +48,6 @@ class EventQueue:
         self._count += 1
         heapq.heappush(self.heap, (time, self._count, kind, payload))
 
-    def next_seq(self) -> int:
-        """The sequence number the *next* pushed event would receive.
-
-        Batch admission builds ``(time, seq, kind, payload)`` tuples itself
-        (extending :attr:`heap` then heapifying once is O(n), n pushes are
-        O(n log n)); it must draw the same consecutive sequence numbers a
-        push loop would have, so ties keep resolving in admission order.
-        Pair with :meth:`set_next_seq` after extending the heap.
-        """
-        return self._count + 1
-
-    def set_next_seq(self, seq: int) -> None:
-        """Record that sequence numbers below *seq* are now taken."""
-        if seq <= self._count:
-            raise ValueError(
-                f"sequence numbers must grow: next_seq {seq} <= current {self._count}"
-            )
-        self._count = seq - 1
-
     def peek_time(self) -> float:
         """Time of the earliest pending event (the queue must be non-empty)."""
         return self.heap[0][0]

@@ -13,20 +13,24 @@ The kernel executes the steady-state pipeline of a complete
   valid copy wins);
 * a data set *completes* when every exit task has produced it at least once.
 
-Three admission styles share this loop:
+Three admission methods share this loop:
 
-* :meth:`PipelineKernel.admit_batch` pushes the release events of a whole
-  stream up front, replica-major — the exact event order of the original
-  offline simulator, preserved so that
-  :class:`~repro.failures.simulator.StreamingSimulator` results stay
-  byte-identical across the kernel extraction;
-* :meth:`PipelineKernel.admit_batch_vectorized` is the same admission for the
-  uniform ``j·Δ`` release pattern, built from a numpy arange plus one
-  ``heapify`` instead of one Python-level ``heappush`` per event — the fast
-  path for 10⁵+-dataset streams, event-for-event identical to
-  :meth:`~PipelineKernel.admit_batch` on the equivalent release list;
-* :meth:`PipelineKernel.admit` admits one data set at a time (dataset-major),
-  which is what the online runtime does between fault events.
+* :meth:`PipelineKernel.admit_window` admits a window of a stream of known
+  length, replica-major, with sequence numbers preassigned from the data set
+  index — so admitting the stream in one window or in many pops events in the
+  same order.  Every batch driver uses it: the offline
+  :class:`~repro.failures.simulator.StreamingSimulator` (window by window,
+  which lets the steady-state fast path of :mod:`repro.sim.steady` snapshot
+  at window boundaries) and the online runtime's flush-and-restart executor
+  (one window per cold-pipeline batch);
+* :meth:`PipelineKernel.admit` admits one data set at a time, dataset-major,
+  as one merged ``_RELEASE_ALL`` event — what the online runtime does between
+  fault events.  Its sequence number is drawn at admission time, after the
+  events already pushed, so same-instant ties resolve differently from a
+  window admission: the two are separate methods because they are separate
+  tie-break contracts;
+* :meth:`PipelineKernel.admit_restored` replays a checkpoint into a rebuilt
+  schedule (see below).
 
 On top of plain execution the kernel supports the two online semantics the
 runtime needs:
@@ -75,8 +79,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.exceptions import ScheduleError
 from repro.schedule.replica import Replica
@@ -148,7 +150,6 @@ class PipelineKernel:
         valid_replicas: dict[str, list[Replica]] | None = None,
         retain_history: bool = True,
         probe=None,
-        fast_forward: bool = False,
     ):
         """*valid_replicas* lets a driver that already ran
         :func:`~repro.schedule.validation.valid_replicas_under_failures` for
@@ -159,12 +160,9 @@ class PipelineKernel:
         depth instead of the stream length.  *probe* is an optional
         :class:`repro.obs.probe.Probe`: per-kind event counts are accumulated
         in a local list and flushed once per drain, so a ``None`` probe costs
-        a single pointer comparison per event.  *fast_forward* marks the
-        kernel as snapshot/restore-capable for the steady-state fast path
-        (:mod:`repro.sim.steady`): the driver may then capture its state at
-        admission-window boundaries and, under the exactness certificate,
-        jump it over provably periodic stretches; it requires the evicting
-        memory model (``retain_history=False``)."""
+        a single pointer comparison per event.  Only an evicting kernel can
+        be snapshotted and jumped by the steady-state fast path
+        (:mod:`repro.sim.steady`)."""
         if not schedule.is_complete():
             raise ScheduleError("cannot simulate an incomplete schedule")
         failed = frozenset(failed)
@@ -230,15 +228,6 @@ class PipelineKernel:
         self._max_evicted = -1  # highest retired index: re-admission guard
         self._peak_live = 0
         self._probe = probe
-        if fast_forward and self.retain_history:
-            raise ScheduleError(
-                "fast_forward requires the evicting memory model "
-                "(retain_history=False)"
-            )
-        #: the driver may snapshot/fast-forward this kernel (see
-        #: :mod:`repro.sim.steady`); purely a capability marker — the kernel
-        #: itself processes events identically either way.
-        self.fast_forward = bool(fast_forward)
 
     # ------------------------------------------------------------------ queries
     @property
@@ -296,101 +285,36 @@ class PipelineKernel:
             refs[dataset] = refs.get(dataset, 0) + 1
         self._queue.push(release, _RELEASE_ALL, (dataset,))
 
-    def admit_batch(self, releases: Sequence[float], first_index: int = 0) -> None:
-        """Admit a whole stream up front (offline-simulator event order).
-
-        Release events are pushed replica-major — for each entry replica, all
-        data sets in order — which is the historical push order of
-        :class:`~repro.failures.simulator.StreamingSimulator`; same-instant
-        ties therefore resolve exactly as they always did.
-        """
-        for k, release in enumerate(releases):
-            self._register(first_index + k, release)
-        refs = self._refs
-        if refs is not None:
-            entries = len(self._entry_states)
-            for k in range(len(releases)):
-                j = first_index + k
-                refs[j] = refs.get(j, 0) + entries
-        for state in self._entry_states:
-            for k, release in enumerate(releases):
-                self._queue.push(release, _RELEASE, (state, first_index + k))
-
-    def admit_batch_vectorized(
-        self, num_datasets: int, period: float, first_index: int = 0, offset: float = 0.0
+    def admit_window(
+        self, start: int, releases: Sequence[float], stream_total: int
     ) -> None:
-        """Admit the uniform stream ``release(j) = offset + j·period`` at once.
+        """Admit data sets ``start, start+1, …`` of a *stream_total* stream.
 
-        Event-for-event identical to :meth:`admit_batch` on
-        ``[offset + k * period for k in range(num_datasets)]`` (numpy computes
-        the same IEEE-754 products), but the release instants come from one
-        ``numpy.arange`` and the ``num_datasets × entry_replicas`` release
-        events land in the queue through a single ``heapify`` instead of one
-        ``heappush`` each — O(n) instead of O(n log n), with no Python-level
-        arithmetic per data set.  This is the admission path for 10⁵+-dataset
-        streams.
+        ``releases[k]`` is the release instant of data set ``start + k``.
+        Release events are pushed replica-major with **preassigned sequence
+        numbers** ``1 + entry_index·stream_total + j``, and the queue counter
+        is raised to at least ``entry_replicas·stream_total`` so every event
+        the run loop pushes sorts after every release.  On a fresh kernel a
+        one-shot ``admit_window(0, all_releases, n)`` therefore draws exactly
+        the sequence numbers of a push loop over the whole stream, and a
+        windowed drive — ``admit_window`` then ``run_until`` just *below* the
+        next window's first release, repeated — pops events in an identical
+        order, tie for tie.  The release events land through one ``heapify``
+        instead of one ``heappush`` each.
         """
-        if num_datasets < 1:
-            raise ScheduleError(f"num_datasets must be >= 1, got {num_datasets}")
-        if period < 0 or offset < 0:
-            raise ScheduleError("period and offset must be non-negative")
-        indices = range(first_index, first_index + num_datasets)
-        times = (np.arange(num_datasets, dtype=np.float64) * period + offset).tolist()
-        if first_index <= self._max_evicted:
-            raise ScheduleError(f"data set {first_index} was already admitted")
-        if self._admitted:
-            for j in indices:
-                if j in self._admitted:
-                    raise ScheduleError(f"data set {j} was already admitted")
-        self._admitted.update(zip(indices, times))
-        refs = self._refs
-        if refs is not None:
-            entries = len(self._entry_states)
-            refs.update((j, refs.get(j, 0) + entries) for j in indices)
-        queue = self._queue
-        heap = queue.heap
-        seq = queue.next_seq()
-        for state in self._entry_states:
-            heap.extend(
-                (t, s, _RELEASE, (state, j))
-                for s, (j, t) in enumerate(zip(indices, times), start=seq)
-            )
-            seq += num_datasets
-        queue.set_next_seq(seq)
-        heapq.heapify(heap)
-
-    def admit_stream_window(
-        self, start: int, stop: int, period: float, stream_total: int
-    ) -> None:
-        """Admit data sets ``[start, stop)`` of the uniform ``j·period`` stream.
-
-        The windowed form of :meth:`admit_batch_vectorized` for a stream of
-        *stream_total* data sets: release events carry the **exact sequence
-        numbers** the one-shot vectorized admission would have assigned
-        (``1 + entry_index·stream_total + j``), and the queue counter is
-        floored at ``entry_replicas·stream_total`` so every event pushed by
-        the run loop sorts after every release.  A windowed drive —
-        ``admit_stream_window`` + ``run_until`` just *below* each window
-        boundary, repeated — therefore pops events in an order identical to
-        the one-shot admission, tie for tie, which is what lets the
-        steady-state fast path (:mod:`repro.sim.steady`) snapshot at window
-        boundaries without perturbing results.
-        """
+        stop = start + len(releases)
         if not 0 <= start < stop <= stream_total:
             raise ScheduleError(
                 f"window [{start}, {stop}) outside stream of {stream_total}"
             )
-        if period < 0:
-            raise ScheduleError("period must be non-negative")
         indices = range(start, stop)
-        times = (np.arange(start, stop, dtype=np.float64) * period).tolist()
         if start <= self._max_evicted:
             raise ScheduleError(f"data set {start} was already admitted")
         if self._admitted:
             for j in indices:
                 if j in self._admitted:
                     raise ScheduleError(f"data set {j} was already admitted")
-        self._admitted.update(zip(indices, times))
+        self._admitted.update(zip(indices, releases))
         refs = self._refs
         if refs is not None:
             entries = len(self._entry_states)
@@ -400,7 +324,7 @@ class PipelineKernel:
         for e, state in enumerate(self._entry_states):
             base = 1 + e * stream_total
             heap.extend(
-                (t, base + j, _RELEASE, (state, j)) for j, t in zip(indices, times)
+                (t, base + j, _RELEASE, (state, j)) for j, t in zip(indices, releases)
             )
         floor = len(self._entry_states) * stream_total
         if queue._count < floor:

@@ -49,15 +49,17 @@ tie-breaking contract of :mod:`repro.sim.events` promises.
 
 Drivers (:class:`repro.failures.simulator.StreamingSimulator` offline,
 :class:`repro.runtime.engine.OnlineRuntime` between fault arrivals) own the
-admission loop; they feed window boundaries to :class:`SteadyStateDetector`
-and, on a lock, synthesize the skipped records themselves from the last
-window's drained completions before calling :func:`restore` to land the
-kernel at the far end of the jump.
+admission loop and feed every quiet window boundary, with the completions
+drained since the previous one, to :func:`leap`: it fingerprints the
+boundary, and on a lock jumps the kernel to the far end of the quiet stretch
+and yields the skipped completions — the last window's shifted by exact
+multiples of ``(window·Δ, window)``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator, Sequence
 
 from repro.sim.kernel import _ARRIVED, _RELEASE, _RELEASE_ALL
 
@@ -67,11 +69,12 @@ __all__ = [
     "capture",
     "restore",
     "SteadyStateDetector",
+    "leap",
 ]
 
-#: admission-window size (data sets per fingerprint boundary) used by drivers
-#: that do not already have a window of their own.  Matches the online
-#: runtime's ``_ADMIT_WINDOW`` so both drivers lock after the same warm-up.
+#: admission-window size (data sets per fingerprint boundary).  Both drivers
+#: read it at run time, so they admit in the same windows and lock after the
+#: same warm-up.
 DEFAULT_WINDOW = 256
 
 #: headroom exponent of the range screen: every timestamp of the run must
@@ -109,10 +112,12 @@ def _lsb_exp(x: float) -> int | None:
 def certified_grid(kernel, period: float, horizon: float) -> int | None:
     """The exactness certificate: grid exponent, or ``None`` (no fast path).
 
-    Collects every duration the kernel can ever add to a timestamp (compute
-    durations, transfer durations, the admission period) and finds the
-    coarsest power-of-two grid ``g = 2**grid_exp`` they all sit on.  The
-    certificate additionally requires
+    A retaining kernel (``retain_history=True``) never certifies: only the
+    evicting memory model can be snapshotted and jumped.  Collects every
+    duration the kernel can ever add to a timestamp (compute durations,
+    transfer durations, the admission period) and finds the coarsest
+    power-of-two grid ``g = 2**grid_exp`` they all sit on.  The certificate
+    additionally requires
 
     * ``4·horizon < 2**48 · g`` — every timestamp of the run stays so far
       below the 53-bit mantissa limit that all grid-multiple additions,
@@ -126,7 +131,7 @@ def certified_grid(kernel, period: float, horizon: float) -> int | None:
     """
     if period <= 0.0 or not math.isfinite(period) or not math.isfinite(horizon):
         return None
-    if not getattr(kernel, "fast_forward", False) or kernel.retain_history:
+    if kernel.retain_history:
         return None
     values = [period]
     for state in kernel._states.values():
@@ -372,8 +377,8 @@ class SteadyStateDetector:
     def jump(self, m: int) -> tuple[float, int]:
         """Fast-forward the kernel by *m* windows from the locked boundary.
 
-        Returns the landing boundary ``(t_new, j_new)``.  The driver is
-        responsible for having synthesized the skipped records first.
+        Returns the landing boundary ``(t_new, j_new)``.  Drivers call it
+        through :func:`leap`, which also synthesizes the skipped records.
         """
         snapshot, t_base, j_base = self.lock
         t_new = t_base + m * self.delta
@@ -385,3 +390,47 @@ class SteadyStateDetector:
         self._prev = (snapshot, t_new, j_new)
         self.lock = None
         return t_new, j_new
+
+
+def leap(
+    detector: SteadyStateDetector,
+    t_base: float,
+    j_base: int,
+    clean: bool,
+    template: Sequence[tuple[int, float]],
+    stream_total: int,
+    limit: float,
+) -> tuple[int, Iterator[tuple[int, float]]]:
+    """One window boundary of a quiet stretch: observe, and jump on a lock.
+
+    *template* holds the ``(dataset, completion)`` pairs drained since the
+    previous boundary and *clean* says whether every release of that window
+    was admitted at its own instant.  On a lock whose template is exactly
+    one window long, the kernel jumps as many whole windows as the rest of
+    the *stream_total* stream and *limit* (the next control event) allow.
+
+    Returns ``(m, completions)``: the number of windows skipped (0 when no
+    jump happened) and a lazy iterator over the skipped data sets'
+    ``(dataset, completion)`` pairs — the template shifted by exact multiples
+    of ``(window·Δ, window)``, bit-identical to simulating them event by
+    event under the certificate.
+    """
+    if not detector.observe(t_base, j_base, clean):
+        return 0, iter(())
+    window = detector.window
+    if len(template) != window:
+        detector.reset()  # steady throughput must match admission
+        return 0, iter(())
+    m = detector.max_windows(t_base, (stream_total - j_base) // window, limit)
+    if m < 1:
+        return 0, iter(())
+    detector.jump(m)
+    return m, _shifted(tuple(template), t_base, detector.delta, window, m)
+
+
+def _shifted(template, t_base, delta, window, m) -> Iterator[tuple[int, float]]:
+    for s in range(1, m + 1):
+        base = t_base + s * delta
+        step = s * window
+        for j, t in template:
+            yield j + step, (t - t_base) + base

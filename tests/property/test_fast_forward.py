@@ -81,11 +81,9 @@ def test_engine_fast_forward_is_bit_identical(n, regime, offset):
 def test_dense_faults_never_enter_fast_forward():
     """With a fault every two admission windows the detector can never see
     two clean boundaries in a row: zero fast-forward spans, identical trace."""
-    import repro.runtime.engine as engine_mod
-
     n = 1500
     period = _EPS1.period
-    gap = engine_mod._ADMIT_WINDOW * 2  # strictly less than the 2-window lock
+    gap = steady.DEFAULT_WINDOW * 2  # strictly less than the 2-window lock
     crashes = [t * period for t in range(gap // 2, n, gap)]
     faults = _fault_trace(crashes, n)
     probe = MetricsProbe()
@@ -144,10 +142,7 @@ def test_offline_fast_forward_engages_and_reports():
 
 # ------------------------------------------------------------- certificate
 def _ff_kernel(schedule=_EPS1):
-    return PipelineKernel(
-        schedule, require_exit_coverage=False, retain_history=False,
-        fast_forward=True,
-    )
+    return PipelineKernel(schedule, require_exit_coverage=False, retain_history=False)
 
 
 def test_certificate_holds_on_integer_schedule():
@@ -167,9 +162,9 @@ def test_certificate_rejects_out_of_range_horizon():
     assert steady.certified_grid(kernel, _EPS1.period, float(2**60)) is None
 
 
-def test_certificate_requires_the_kernel_flag():
-    """A kernel built without ``fast_forward=True`` never certifies — the
-    flag marks that the driver opted in and history retention is off."""
+def test_retaining_kernel_never_certifies():
+    """A retaining kernel (``retain_history=True``, the default) never
+    certifies: only the evicting memory model can be snapshotted and jumped."""
     kernel = PipelineKernel(_EPS1, require_exit_coverage=False)
     assert steady.certified_grid(kernel, _EPS1.period, 100 * _EPS1.period) is None
 
@@ -200,7 +195,7 @@ def test_detector_locks_and_jump_matches_full_simulation():
         j = 0
         while j < n:
             stop = min(j + window, n)
-            kernel.admit_stream_window(j, stop, period, n)
+            kernel.admit_window(j, [k * period for k in range(j, stop)], n)
             j = stop
             if j >= n:
                 break
@@ -232,7 +227,7 @@ def test_dirty_boundary_resets_the_detector():
     grid_exp = steady.certified_grid(kernel, _EPS1.period, 10_000 * _EPS1.period)
     detector = steady.SteadyStateDetector(kernel, grid_exp, _EPS1.period, 4)
     n, period = 64, _EPS1.period
-    kernel.admit_stream_window(0, 8, period, n)
+    kernel.admit_window(0, [k * period for k in range(8)], n)
     kernel.run_until(math.nextafter(4 * period, -math.inf))
     assert detector.observe(4 * period, 4, clean=False) is False
     assert detector._prev is None and detector.lock is None

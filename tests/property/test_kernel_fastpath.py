@@ -1,7 +1,7 @@
-"""Property tests of the kernel fast path (eviction + vectorized admission).
+"""Property tests of the kernel fast path (eviction + windowed admission).
 
-The constant-memory kernel mode (``retain_history=False``) and the vectorized
-batch admission are *pure optimizations*: every event is processed
+The constant-memory kernel mode (``retain_history=False``) and windowed
+admission (``admit_window``) are *pure optimizations*: every event is processed
 identically, so the observable outputs — the drained completion sequences,
 the set of data sets that never complete under a crash pattern, the
 checkpoint contents of in-flight data sets — must be bit-for-bit equal to the
@@ -12,12 +12,16 @@ pipeline depth, not the stream length.
 
 from __future__ import annotations
 
+import itertools
+import math
 import tracemalloc
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ltf import ltf_schedule
+from repro.exceptions import ScheduleError
 from repro.graph.examples import figure2_graph
 from repro.platform.builders import figure2_platform
 from repro.sim.kernel import PipelineKernel
@@ -80,42 +84,57 @@ def test_evicting_kernel_is_bit_identical_to_retaining(data, num_datasets):
     assert evicting == retained  # drains, pending sets and checkpoints
 
 
-@SLOW
-@given(num_datasets=st.integers(min_value=1, max_value=40))
-def test_vectorized_admission_matches_batch(num_datasets):
-    period = _EPS1.period
-    batch = PipelineKernel(_EPS1)
-    batch.admit_batch([j * period for j in range(num_datasets)])
-    batch.run_to_completion()
-    vectorized = PipelineKernel(_EPS1)
-    vectorized.admit_batch_vectorized(num_datasets, period)
-    vectorized.run_to_completion()
-    assert vectorized.completions == batch.completions
+def _windowed_drain(kernel, releases, window):
+    """Admit *releases* one window at a time, each ``run_until`` stopping
+    just below the next window's first release; return every drain."""
+    n = len(releases)
+    drained = []
+    j = 0
+    while j < n:
+        stop = min(j + window, n)
+        kernel.admit_window(j, releases[j:stop], n)
+        j = stop
+        if j < n:
+            drained += kernel.run_until(math.nextafter(releases[j], -math.inf))
+    return drained + kernel.run_to_completion()
 
 
 @SLOW
 @given(
-    num_datasets=st.integers(min_value=1, max_value=20),
-    first_index=st.integers(min_value=0, max_value=100),
-    offset_periods=st.floats(min_value=0.0, max_value=3.0),
+    gaps=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.integers(min_value=1, max_value=40).map(float),
+            st.floats(min_value=0.0, max_value=2.5 * _EPS1.period),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    window=st.integers(min_value=1, max_value=45),
 )
-def test_vectorized_admission_with_offset_and_index(
-    num_datasets, first_index, offset_periods
-):
-    period = _EPS1.period
-    offset = offset_periods * period
-    batch = PipelineKernel(_EPS1)
-    batch.admit_batch(
-        [offset + j * period for j in range(num_datasets)], first_index=first_index
-    )
-    drain_b = batch.run_to_completion()
-    vectorized = PipelineKernel(_EPS1, retain_history=False)
-    vectorized.admit_batch_vectorized(
-        num_datasets, period, first_index=first_index, offset=offset
-    )
-    drain_v = vectorized.run_to_completion()
-    assert drain_v == drain_b
-    assert vectorized.evicted_datasets == num_datasets
+def test_admit_window_is_window_size_invariant(gaps, window):
+    """Any window size ≡ one-shot ``admit_window(0, releases, n)``: random
+    non-decreasing releases with ties (integer gaps also tie releases with
+    compute and transfer events), drains identical in both memory models."""
+    releases = list(itertools.accumulate(gaps))
+    n = len(releases)
+    oneshot = PipelineKernel(_EPS1)
+    oneshot.admit_window(0, releases, n)
+    reference = oneshot.run_to_completion()
+    assert sorted(d for d, _ in reference) == list(range(n))
+    for retain_history in (True, False):
+        kernel = PipelineKernel(_EPS1, retain_history=retain_history)
+        assert _windowed_drain(kernel, releases, window) == reference
+
+
+def test_admit_window_rejects_out_of_stream_windows():
+    kernel = PipelineKernel(_EPS1)
+    for start, releases, total in ((0, [], 4), (3, [0.0, 1.0], 4), (-1, [0.0], 4)):
+        with pytest.raises(ScheduleError, match="outside stream"):
+            kernel.admit_window(start, releases, total)
+    kernel.admit_window(0, [0.0, 1.0], 4)
+    with pytest.raises(ScheduleError, match="data set 1 was already admitted"):
+        kernel.admit_window(1, [1.0], 4)
 
 
 def _peak_memory(num_datasets: int, retain_history: bool) -> int:
@@ -171,10 +190,6 @@ def test_eviction_watermark_tracks_live_state():
 def test_evicted_index_cannot_be_readmitted():
     """The duplicate-admission guard survives eviction: a retired index is
     rejected (watermark check) instead of silently re-running."""
-    import pytest
-
-    from repro.exceptions import ScheduleError
-
     kernel = PipelineKernel(_EPS1, retain_history=False)
     kernel.admit(0, 0.0)
     kernel.run_to_completion()
@@ -182,7 +197,7 @@ def test_evicted_index_cannot_be_readmitted():
     with pytest.raises(ScheduleError, match="already admitted"):
         kernel.admit(0, 1.0)
     with pytest.raises(ScheduleError, match="already admitted"):
-        kernel.admit_batch_vectorized(2, _EPS1.period, first_index=0)
+        kernel.admit_window(0, [0.0, _EPS1.period], 2)
     kernel.admit(1, _EPS1.period)  # fresh indices above the watermark are fine
     kernel.run_to_completion()
     assert kernel.evicted_datasets == 2

@@ -79,10 +79,10 @@ def test_default_release_times_are_equivalent(num_datasets):
 @SLOW
 @given(num_datasets=st.integers(min_value=1, max_value=30))
 def test_incremental_kernel_admission_matches_batch(num_datasets):
-    """Zero-fault invariant at the kernel level: admit() ≡ admit_batch()."""
+    """Zero-fault invariant at the kernel level: admit() ≡ admit_window()."""
     period = _EPS1.period
     batch = PipelineKernel(_EPS1)
-    batch.admit_batch([j * period for j in range(num_datasets)])
+    batch.admit_window(0, [j * period for j in range(num_datasets)], num_datasets)
     batch.run_to_completion()
     incremental = PipelineKernel(_EPS1)
     for j in range(num_datasets):

@@ -9,6 +9,7 @@ a field added to the dataclasses without a docs row fails here.
 
 from __future__ import annotations
 
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -42,6 +43,89 @@ def _relative_links(text: str):
         if target.startswith(("http://", "https://", "mailto:")):
             continue
         yield target
+
+
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+#: packages whose exported classes the docs may cite as ``Class.attr``
+_EXPORTING_PACKAGES = ("repro", "repro.sim", "repro.failures", "repro.runtime")
+
+
+def _exported_classes() -> dict[str, type]:
+    classes = {}
+    for name in _EXPORTING_PACKAGES:
+        module = importlib.import_module(name)
+        for export in module.__all__:
+            obj = getattr(module, export)
+            if isinstance(obj, type):
+                classes[export] = obj
+    return classes
+
+
+def _resolve_dotted(path: str) -> bool:
+    """``repro.a.b.C.d``: import the longest module prefix, getattr the rest."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not _has_attr(obj, attr):
+                return False
+            obj = getattr(obj, attr, None)
+        return True
+    return False
+
+
+def _has_attr(obj, attr: str) -> bool:
+    """Attribute lookup that also accepts dataclass fields and annotated
+    instance attributes of a class (which have no class-level value)."""
+    if hasattr(obj, attr):
+        return True
+    if isinstance(obj, type):
+        return any(attr in getattr(k, "__annotations__", {}) for k in obj.__mro__)
+    return False
+
+
+def _code_references(text: str, classes: dict[str, type]):
+    """Every backticked ``repro.…`` path and exported ``Class.attr`` chain
+    (the dotted prefix of the span, so ``f(...)`` calls count too)."""
+    for span in _CODE_SPAN.findall(text):
+        match = _DOTTED.match(span.strip())
+        if match is None:
+            continue
+        path = match.group(0)
+        head = path.split(".", 1)[0]
+        if head == "repro" or head in classes:
+            yield path
+
+
+def test_code_references_resolve():
+    """Every backticked ``repro.…`` dotted path, and every ``Class.attr``
+    whose class is exported by ``repro``, ``repro.sim``, ``repro.failures``
+    or ``repro.runtime``, in README.md and docs/*.md names a real object —
+    a renamed or deleted API fails here instead of rotting in the docs."""
+    classes = _exported_classes()
+    checked, broken = 0, []
+    for path in MARKDOWN_FILES:
+        for ref in _code_references(path.read_text(), classes):
+            checked += 1
+            head, _, rest = ref.partition(".")
+            if head == "repro":
+                ok = _resolve_dotted(ref)
+            else:
+                obj, ok = classes[head], True
+                for attr in rest.split("."):
+                    if not _has_attr(obj, attr):
+                        ok = False
+                        break
+                    obj = getattr(obj, attr, None)
+            if not ok:
+                broken.append(f"{path.name}: {ref}")
+    assert checked > 50, f"only {checked} code references found: is the scan broken?"
+    assert not broken, f"unresolvable code references: {broken}"
 
 
 def test_docs_tree_exists():

@@ -162,6 +162,27 @@ class TestSimulator:
         with pytest.raises(ValueError):
             simulate_stream(replicated, num_datasets=0)
 
+    @pytest.mark.parametrize(
+        "releases, message",
+        [
+            ([0.0, math.nan, 40.0], "finite"),
+            ([0.0, math.inf, math.inf], "finite"),
+            ([-math.inf, 0.0, 40.0], "finite"),
+            ([0.0, 40.0, 20.0], "non-decreasing"),
+            ([-1.0, 0.0, 40.0], "non-negative"),
+        ],
+    )
+    def test_release_times_must_be_finite_and_ordered(
+        self, fig2, fig2_platform, releases, message
+    ):
+        """A NaN or infinite release used to yield NaN latencies; every
+        malformed release list now raises instead."""
+        schedule = rltf_schedule(
+            fig2, fig2_platform, throughput=0.04, epsilon=1, strict_resilience=True
+        )
+        with pytest.raises(ValueError, match=message):
+            StreamingSimulator(schedule).run(3, release_times=releases)
+
     def test_chain_simulation_matches_pipeline_model(self):
         graph = chain_graph(4, work=10.0, volume=1.0)
         platform = homogeneous_platform(4)

@@ -744,16 +744,16 @@ class TestAdmissionWindowInvariance:
 
     @pytest.mark.parametrize("checkpoint", [True, False])
     def test_window_size_never_changes_traces(self, checkpoint, monkeypatch):
-        import repro.runtime.engine as engine_mod
+        from repro.sim import steady
 
         schedule, faults, n = self._crashy_case()
         run = lambda: OnlineRuntime(
             schedule, faults, checkpoint=checkpoint, rebuild_beyond_epsilon=False
         ).run(n)
         reference = run()
-        monkeypatch.setattr(engine_mod, "_ADMIT_WINDOW", 10)
+        monkeypatch.setattr(steady, "DEFAULT_WINDOW", 10)
         tiny = run()
-        monkeypatch.setattr(engine_mod, "_ADMIT_WINDOW", 10**9)
+        monkeypatch.setattr(steady, "DEFAULT_WINDOW", 10**9)
         unwindowed = run()
         assert tiny == reference == unwindowed
 

@@ -50,32 +50,13 @@ class TestEventQueue:
         assert q.now == 4.5
         assert not q
 
-    def test_batch_sequence_numbering_matches_push(self):
-        """next_seq/set_next_seq let batch admission hand-build heap entries
-        with exactly the sequence numbers a push loop would have drawn."""
-        import heapq
-
-        import pytest
-
-        q = EventQueue()
-        q.push(5.0, 0, "pushed")
-        seq = q.next_seq()
-        q.heap.extend((1.0, s, 0, f"batch{i}") for i, s in enumerate((seq, seq + 1)))
-        q.set_next_seq(seq + 2)
-        heapq.heapify(q.heap)
-        assert [q.pop()[2] for _ in range(3)] == ["batch0", "batch1", "pushed"]
-        q.push(0.5, 0, "after")  # the counter really advanced past the batch
-        assert q.pop() == (0.5, 0, "after")
-        with pytest.raises(ValueError):
-            q.set_next_seq(1)  # sequence numbers must never move backwards
-
 
 class TestBatchKernel:
     def test_batch_matches_streaming_simulator(self, strict):
         n = 12
         releases = [j * strict.period for j in range(n)]
         kernel = PipelineKernel(strict)
-        kernel.admit_batch(releases)
+        kernel.admit_window(0, releases, n)
         kernel.run_to_completion()
         sim = StreamingSimulator(strict).run(n)
         assert tuple(kernel.completions[j] for j in range(n)) == sim.completion_times
@@ -84,7 +65,7 @@ class TestBatchKernel:
         n = 10
         releases = [j * strict.period for j in range(n)]
         batch = PipelineKernel(strict)
-        batch.admit_batch(releases)
+        batch.admit_window(0, releases, n)
         batch.run_to_completion()
         incremental = PipelineKernel(strict)
         for j, r in enumerate(releases):
@@ -94,7 +75,7 @@ class TestBatchKernel:
 
     def test_run_until_is_progressive(self, strict):
         kernel = PipelineKernel(strict)
-        kernel.admit_batch([j * strict.period for j in range(8)])
+        kernel.admit_window(0, [j * strict.period for j in range(8)], 8)
         early = kernel.run_until(strict.period)
         assert all(t <= strict.period for _, t in early)
         rest = kernel.run_to_completion()
@@ -139,7 +120,7 @@ class TestMidRunCrash:
         victim = strict.used_processors()[0]
         n = 10
         baseline = PipelineKernel(strict)
-        baseline.admit_batch([j * strict.period for j in range(n)])
+        baseline.admit_window(0, [j * strict.period for j in range(n)], n)
         baseline.run_to_completion()
         crashed = PipelineKernel(strict)
         for j in range(n):

@@ -157,6 +157,11 @@ def _cases():
     yield "offline/float-eps1/tied-n300", lambda: _offline(
         float_schedule(1), 300, release_times=_tied_releases(float_schedule(1).period, 300)
     )
+    # integer releases in coincident pairs: arrivals and computes finish at
+    # release instants, so the release-first tie-break contract shows
+    yield "offline/grid-eps2/paired-integer-n300", lambda: _offline(
+        grid_schedule(2), 300, release_times=[float(j // 2 * 3) for j in range(300)]
+    )
     yield "offline/grid-eps2/crash2/tied-n400", lambda: _offline(
         grid_schedule(2), 400, _victims(grid_schedule(2), 2),
         release_times=_tied_releases(grid_schedule(2).period, 400),
@@ -208,7 +213,10 @@ def produce_fingerprints() -> dict[str, str]:
 def test_every_simulation_matches_frozen_fingerprint():
     goldens = json.loads(GOLDEN_PATH.read_text())
     produced = produce_fingerprints()
-    mismatched = sorted(k for k in goldens.keys() | produced.keys() if goldens.get(k) != produced.get(k))
+    mismatched = sorted(
+        key for key in goldens.keys() | produced.keys()
+        if goldens.get(key) != produced.get(key)
+    )
     assert not mismatched, f"fingerprints changed: {mismatched}"
 
 
