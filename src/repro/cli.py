@@ -95,6 +95,7 @@ import argparse
 import operator
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -580,9 +581,16 @@ def _add_cache_options(
 
 
 def _open_cli_cache(args: argparse.Namespace):
+    """The result cache of ``--cache-dir``/``--no-cache``; ``--resume`` needs one."""
     from repro.cache import open_cache
 
-    return open_cache(args.cache_dir, enabled=not args.no_cache)
+    cache = open_cache(args.cache_dir, enabled=not args.no_cache)
+    if getattr(args, "resume", False) and not cache.enabled:
+        raise ValueError(
+            "--resume needs the result cache (--cache-dir), "
+            + ("but --no-cache turns it off" if args.no_cache else "and none was given")
+        )
+    return cache
 
 
 def _add_suite_parser(sub) -> None:
@@ -672,13 +680,11 @@ def _add_suite_exec_options(p: argparse.ArgumentParser) -> None:
 
 
 def _run_suite_command(args: argparse.Namespace) -> int:
-    from repro.exceptions import SchedulingError
     from repro.scenario.suite import SuiteSpec
 
     if args.suite_command == "emit":
         return _emit_suite(args)
     from repro.experiments.reporting import render_latency_report, render_suite
-    from repro.experiments.sweep import run_suite
 
     try:
         suite = SuiteSpec.from_file(args.suite)
@@ -707,9 +713,35 @@ def _run_suite_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        from repro.resilience import drain_signals
+    if args.suite_command == "report" and args.json:
+        render = partial(_suite_json, reduce=args.reduce)
+    else:
+        render = partial(
+            render_latency_report
+            if args.suite_command == "report"
+            else render_suite,
+            x_axis=args.x_axis,
+            y_axis=args.y_axis,
+            plot=not args.no_plot,
+        )
+    code = _execute_suite(args, suite, render, "repro-streaming suite")
+    if code == 0 and args.suite_command == "report" and not args.json:
+        return _report_trajectory(args)
+    return code
 
+
+def _execute_suite(args: argparse.Namespace, suite, render, prog: str) -> int:
+    """Run *suite* under the execution flags of *args*; print ``render(result)``.
+
+    The one execute path of ``suite run``, ``suite report`` and ``runtime
+    --sweep``: every resilience flag applies, SIGTERM/SIGINT drain the run at
+    a trial boundary (exit 130), and spec or scheduling errors exit 2.
+    """
+    from repro.exceptions import SchedulingError
+    from repro.experiments.sweep import run_suite
+    from repro.resilience import drain_signals
+
+    try:
         with drain_signals() as stop:
             result = run_suite(
                 suite,
@@ -724,34 +756,23 @@ def _run_suite_command(args: argparse.Namespace) -> int:
                 chaos=args.chaos,
                 stop=stop,
             )
-        if args.suite_command == "report" and args.json:
-            return _print_suite_json(result, args)
-        render = (
-            render_latency_report
-            if args.suite_command == "report"
-            else render_suite
-        )
-        report = render(
-            result, x_axis=args.x_axis, y_axis=args.y_axis, plot=not args.no_plot
-        )
+        report = render(result)
     except (ValueError, SchedulingError) as exc:
-        print(f"repro-streaming suite: error: {exc}", file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
     print(report)
     if result.interrupted:
         print(
-            "repro-streaming suite: interrupted — re-run with --resume to "
+            f"{prog}: interrupted — re-run with --resume to "
             "execute only the missing trials (completed trials are "
             "checkpointed when --resume and the cache are on)",
             file=sys.stderr,
         )
         return 130
-    if args.suite_command == "report":
-        return _report_trajectory(args)
     return 0
 
 
-def _print_suite_json(result, args: argparse.Namespace) -> int:
+def _suite_json(result, reduce: str) -> str:
     """``suite report --json``: the service's machine-readable result document.
 
     The exact payload ``GET /v1/results/{key}`` serves (same ``result_key``
@@ -761,9 +782,8 @@ def _print_suite_json(result, args: argparse.Namespace) -> int:
 
     from repro.service.models import suite_result_key, suite_result_payload
 
-    key = suite_result_key(result.suite, result.seed, result.trials, args.reduce)
-    print(json.dumps(suite_result_payload(result, reduce=args.reduce, key=key)))
-    return 0
+    key = suite_result_key(result.suite, result.seed, result.trials, reduce)
+    return json.dumps(suite_result_payload(result, reduce=reduce, key=key))
 
 
 def _report_trajectory(args: argparse.Namespace) -> int:
@@ -1109,12 +1129,47 @@ def _parse_grid(text: str, option: str) -> tuple:
     return tuple(values)
 
 
+def _sweep_suite(args: argparse.Namespace):
+    """The failure-regime suite of ``runtime --sweep``, from its flags.
+
+    The scenario flags give the base (with Weibull failures); the axes are
+    mttf × mttr × shape in that grid order, then the crash-group size and
+    load coupling when their grids are given.
+    """
+    from repro.experiments.sweep import EXTRA_SWEEP_AXES, SWEEP_AXES
+    from repro.scenario.suite import SuiteSpec
+
+    spec = ScenarioSpec(name="runtime-cli").updated(_flag_overrides(args))
+    grids = [
+        _parse_grid(args.sweep_mttf, "--sweep-mttf"),
+        _parse_grid(args.sweep_mttr, "--sweep-mttr"),
+        _parse_grid(args.sweep_shapes, "--sweep-shapes"),
+    ]
+    for flag, grid in (("--sweep-mttf", grids[0]), ("--sweep-shapes", grids[2])):
+        if None in grid:
+            raise ValueError(f"{flag}: 'none' is only a value of --sweep-mttr")
+    axes = dict(zip(SWEEP_AXES, grids))
+    if args.sweep_group_sizes is not None:
+        axes[EXTRA_SWEEP_AXES[0]] = tuple(
+            None if v is None else int(v)
+            for v in _parse_grid(args.sweep_group_sizes, "--sweep-group-sizes")
+        )
+    if args.sweep_load is not None:
+        axes[EXTRA_SWEEP_AXES[1]] = _parse_grid(args.sweep_load, "--sweep-load")
+    return SuiteSpec(
+        base=spec.updated({"faults.distribution": "weibull"}),
+        axes=axes,
+        name=f"{spec.name}-failure-regimes",
+        trials=args.trials,
+        seed=args.seed,
+    )
+
+
 def _run_runtime_command(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.exceptions import SchedulingError
     from repro.experiments.reporting import render_sweep
-    from repro.experiments.sweep import run_runtime_sweep
-    from repro.resilience import ExecutionError
+    from repro.resilience import ExecutionError, drain_signals
     from repro.resilience.supervisor import ExecutionInterrupted
     from repro.utils.ascii import format_table
 
@@ -1125,35 +1180,16 @@ def _run_runtime_command(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.sweep:
+        try:
+            suite = _sweep_suite(args)
+        except ValueError as exc:
+            print(f"repro-streaming runtime: error: {exc}", file=sys.stderr)
+            return 2
+        render = partial(render_sweep, plot=not args.no_plot)
+        return _execute_suite(args, suite, render, "repro-streaming runtime")
     try:
         spec = ScenarioSpec(name="runtime-cli").updated(_flag_overrides(args))
-        if args.sweep:
-            group_sizes = None
-            if args.sweep_group_sizes is not None:
-                group_sizes = tuple(
-                    None if v is None else int(v)
-                    for v in _parse_grid(args.sweep_group_sizes, "--sweep-group-sizes")
-                )
-            load_couplings = None
-            if args.sweep_load is not None:
-                load_couplings = _parse_grid(args.sweep_load, "--sweep-load")
-            sweep = run_runtime_sweep(
-                spec,
-                mttf_grid=_parse_grid(args.sweep_mttf, "--sweep-mttf"),
-                mttr_grid=_parse_grid(args.sweep_mttr, "--sweep-mttr"),
-                shapes=_parse_grid(args.sweep_shapes, "--sweep-shapes"),
-                trials=args.trials,
-                seed=args.seed,
-                jobs=args.jobs,
-                cache=_open_cli_cache(args),
-                reduce=args.reduce,
-                group_sizes=group_sizes,
-                load_couplings=load_couplings,
-            )
-            print(render_sweep(sweep, plot=not args.no_plot))
-            return 0
-        from repro.resilience import drain_signals
-
         session = Session(spec)
         with drain_signals() as stop:
             result = session.monte_carlo(

@@ -8,13 +8,14 @@
   (3a, 3b, 3c, 4a, 4b, 4c) plus the ablation / baseline / scaling studies;
 * :mod:`repro.experiments.tables` — the worked examples of Figures 1 and 2;
 * :mod:`repro.experiments.reporting` — ASCII rendering of the results;
-* :mod:`repro.experiments.parallel` — the parallel Monte-Carlo campaign
-  engine (``jobs``-way process fan-out of runtime trials, deterministic
-  regardless of the worker count);
+* :mod:`repro.experiments.parallel` — Monte-Carlo campaigns of the online
+  runtime and the one executor behind every campaign runner (cache probe,
+  checkpoints, ``jobs``-way supervised fan-out of (point, trial) units,
+  deterministic regardless of the worker count);
 * :mod:`repro.experiments.sweep` — suite execution (:func:`run_suite`,
   :class:`SweepResult` with arbitrary-axis panel pivots, spec-hash result
-  caching) and the failure-regime sweep of the online runtime
-  (mttf/mttr grid × Weibull shapes → figure-style report) built on it.
+  caching); the failure-regime sweep of ``runtime --sweep`` is a suite over
+  its mttf/mttr × Weibull-shape axes.
 """
 
 from repro.experiments.config import ExperimentConfig, bench_config, paper_config, workload_period
@@ -43,9 +44,6 @@ from repro.experiments.parallel import (
     run_runtime_campaign,
 )
 from repro.experiments.sweep import (
-    SweepPoint,
-    RuntimeSweepResult,
-    run_runtime_sweep,
     SuitePointResult,
     SweepResult,
     run_suite,
@@ -78,9 +76,6 @@ __all__ = [
     "render_suite",
     "RuntimeCampaignResult",
     "run_runtime_campaign",
-    "SweepPoint",
-    "RuntimeSweepResult",
-    "run_runtime_sweep",
     "SuitePointResult",
     "SweepResult",
     "run_suite",

@@ -1,17 +1,22 @@
-"""Parallel Monte-Carlo campaign engine.
+"""Monte-Carlo campaigns of the online runtime and their one executor.
 
-Fans independent online-runtime trials across CPU cores through the
-supervised pool of :mod:`repro.resilience.supervisor` — the one process pool
-of the package (the figure campaigns use it too, see
-:func:`repro.resilience.supervisor.supervised_values`).
+:func:`_execute_campaigns` runs campaigns for both runners:
+:func:`run_runtime_campaign` calls it with one point, and
+:func:`repro.experiments.sweep.run_suite` with a whole grid.  It probes each
+point's campaign cache entry and, on resume, its trial checkpoints.  It fans
+every missing (point, trial) unit through one call of the supervised pool of
+:mod:`repro.resilience.supervisor`, the one process pool of the package
+(the figure campaigns use it too, through
+:func:`repro.resilience.supervisor.supervised_values`).  It writes the
+checkpoints and assembles each point's :class:`RuntimeCampaignResult`.
 
-Determinism is non-negotiable: every unit receives its own child seed derived
-*before* dispatch from the campaign seed (via
-:func:`repro.utils.rng.derive_seed`), and the results are collected in
-submission order, so ``jobs=1`` and ``jobs=N`` produce bit-for-bit identical
-results.  Work functions must be module-level (picklable) pure functions of
-their arguments — both :func:`repro.scenario.run.run_scenario_online` and
-:func:`repro.experiments.campaign.run_graph_instance` qualify.
+Determinism is non-negotiable: every trial receives its own child seed
+derived *before* dispatch from its campaign seed
+(:func:`campaign_trial_seeds`), and the results are collected in submission
+order, so ``jobs=1`` and ``jobs=N`` produce bit-for-bit identical results.
+The trial functions, :func:`repro.scenario.run.run_scenario_online` and
+:func:`repro.scenario.run.run_trial_summary`, are module-level pure
+functions of their arguments.
 
 Transport is the second lever: campaigns that only need statistics can run
 with ``reduce="stats"``: the worker summarizes each trace to a
@@ -138,7 +143,9 @@ def run_runtime_campaign(
     :mod:`repro.cache` (or a directory path) serves the whole campaign from
     its content address when the identical ``(spec, seed, trials, reduce)``
     ran before on this code version — bit-identical to re-executing — and
-    stores fresh results for next time.
+    stores fresh results for next time.  A suite point with the same spec,
+    point seed and trials is the same entry: both runners go through one
+    executor (:func:`_execute_campaigns`), this one with a single point.
 
     *reduce* selects the worker payload: ``"traces"`` (default) ships every
     trial's full trace back to the parent, ``"stats"`` summarizes each trace
@@ -157,8 +164,9 @@ def run_runtime_campaign(
     above.  Because trial seeds are pre-derived, a recovered campaign is
     bit-identical to an undisturbed one.  A campaign has no partial shape to
     degrade into, so retry exhaustion raises
-    :class:`~repro.resilience.supervisor.ExecutionError` (suites instead
-    annotate the failed point — see
+    :class:`~repro.resilience.supervisor.ExecutionError` and a drain (*stop*
+    set) raises :class:`~repro.resilience.supervisor.ExecutionInterrupted`
+    (suites instead annotate the failed point — see
     :func:`repro.experiments.sweep.run_suite`).
 
     *resume* opts into trial-level checkpointing: each completed trial is
@@ -171,59 +179,161 @@ def run_runtime_campaign(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_reduce(reduce)
-    from repro.cache import MISS, campaign_key, open_cache
-    from repro.resilience import ExecutionError, resolve_chaos, supervised_map
-    from repro.resilience.supervisor import ExecutionInterrupted, RetryPolicy
+    from repro.cache import open_cache
+    from repro.resilience import ExecutionError
+    from repro.resilience.supervisor import ExecutionInterrupted
 
     cache = open_cache(cache)
-    chaos = resolve_chaos(chaos)
-    key = campaign_key(spec, seed, trials, reduce=reduce) if cache.enabled else None
-    if key is not None:
-        hit = cache.get(key, expect=RuntimeCampaignResult)
-        if hit is not MISS:
-            return hit
-    trial_seeds = campaign_trial_seeds(seed, trials)
-    checkpoints = _probe_trial_checkpoints(
-        cache, spec, seed, range(trials), reduce, resume
+    run = _execute_campaigns(
+        [spec], [seed], trials, cache, reduce,
+        jobs=jobs, max_retries=max_retries, trial_timeout=trial_timeout,
+        resume=resume, chaos=chaos, stop=stop,
     )
-    pending = [t for t in range(trials) if t not in checkpoints]
-    fn = partial(run_trial_summary if reduce == "stats" else run_scenario_online, spec)
+    if run.lost:
+        raise ExecutionError(run.lost, what=f"campaign (seed {seed})")
+    if run.interrupted:
+        raise ExecutionInterrupted(
+            f"campaign (seed {seed})", resumable=resume and cache.enabled
+        )
+    return run.campaigns[0]
+
+
+@dataclass(frozen=True)
+class _Executed:
+    """What :func:`_execute_campaigns` hands back, one entry per point."""
+
+    #: each point's campaign, ``None`` where trials were lost or not run
+    campaigns: tuple[RuntimeCampaignResult | None, ...]
+    #: whether the point was served whole from its campaign cache entry
+    cached: tuple[bool, ...]
+    #: why a point has no campaign (``None`` for the others)
+    notes: tuple[str | None, ...]
+    #: the supervisor's records of the trials that exhausted their retries
+    lost: tuple
+    counters: dict
+    interrupted: bool
+    resumed_trials: int
+    executed_trials: int
+
+
+def _run_trial_unit(item: tuple[ScenarioSpec, int], reduce: str):
+    """Execute one (point, trial) unit — the picklable unit of campaign work.
+
+    With ``reduce="stats"`` the trace never leaves the worker — only its
+    :class:`~repro.runtime.trace.TraceSummary` does.
+    """
+    point_spec, trial_seed = item
+    if reduce == "stats":
+        return run_trial_summary(point_spec, trial_seed)
+    return run_scenario_online(point_spec, trial_seed)
+
+
+def _execute_campaigns(
+    specs, seeds, trials: int, cache, reduce: str, *,
+    jobs, max_retries, trial_timeout, resume, chaos, stop,
+) -> _Executed:
+    """Run one campaign of *trials* trials per ``(spec, seed)`` point.
+
+    The one campaign executor, behind :func:`run_runtime_campaign` (one
+    point) and :func:`~repro.experiments.sweep.run_suite` (a grid).  Per
+    point, a campaign cache hit is served as is and, under *resume*, trials
+    already checkpointed are reused.  Every remaining trial of every point
+    becomes one unit of a single supervised map, so trials × points
+    load-balance over one pool (a grid with fewer points than workers still
+    saturates it) and each unit returns one trace or summary, never a whole
+    campaign pickle.  Completed trials are checkpointed as they land
+    (*resume* on a real cache); a point whose trials all completed is
+    assembled into a :class:`RuntimeCampaignResult` and written back under
+    its campaign key, any other point gets a failure note.  *cache* is an
+    opened cache object.
+    """
+    from repro.cache import MISS, campaign_key, trial_key
+    from repro.resilience import resolve_chaos, supervised_map
+    from repro.resilience.supervisor import RetryPolicy
+
+    chaos = resolve_chaos(chaos)
+    # with caching off there is nothing to address: skip the hashing and the
+    # probe loop entirely so a cacheless run carries all-zero stats.
+    keys = [
+        campaign_key(spec, seed, trials, reduce=reduce) if cache.enabled else None
+        for spec, seed in zip(specs, seeds)
+    ]
+    campaigns = [
+        MISS if key is None else cache.get(key, expect=RuntimeCampaignResult)
+        for key in keys
+    ]
+    cached = tuple(campaign is not MISS for campaign in campaigns)
+    missed = [i for i, hit in enumerate(cached) if not hit]
+    trial_seeds = {i: campaign_trial_seeds(seeds[i], trials) for i in missed}
+    # resume: trials already checkpointed by an interrupted run (or by a
+    # smaller-trials run — trial keys ignore the campaign's total count) are
+    # served from the cache; only the missing ones become work units.
+    values = {
+        i: _probe_trial_checkpoints(
+            cache, specs[i], seeds[i], range(trials), reduce, resume
+        )
+        for i in missed
+    }
+    resumed_trials = sum(len(found) for found in values.values())
+    units = [(i, t) for i in missed for t in range(trials) if t not in values[i]]
 
     def checkpoint(slot: int, value) -> None:
-        from repro.cache import trial_key
-
-        cache.put(trial_key(spec, seed, pending[slot], reduce=reduce), value)
+        i, t = units[slot]
+        cache.put(trial_key(specs[i], seeds[i], t, reduce=reduce), value)
 
     outcome = supervised_map(
-        fn,
-        [trial_seeds[t] for t in pending],
+        partial(_run_trial_unit, reduce=reduce),
+        [(specs[i], trial_seeds[i][t]) for i, t in units],
         jobs=jobs,
-        tokens=[trial_seeds[t] for t in pending],
+        tokens=[trial_seeds[i][t] for i, t in units],
         policy=RetryPolicy(max_retries=max_retries),
         timeout=trial_timeout,
         chaos=chaos,
         on_result=checkpoint if (resume and cache.enabled) else None,
         stop=stop,
     )
-    if outcome.failures:
-        raise ExecutionError(outcome.failures, what=f"campaign (seed {seed})")
-    if outcome.interrupted:
-        raise ExecutionInterrupted(
-            f"campaign (seed {seed})", resumable=resume and cache.enabled
-        )
-    values = dict(checkpoints)
-    values.update(zip(pending, outcome.values))
-    payload = tuple(values[t] for t in range(trials))
-    result = RuntimeCampaignResult(
-        spec=spec,
-        seed=seed,
-        trial_seeds=trial_seeds,
-        traces=payload if reduce == "traces" else None,
-        summaries=payload if reduce == "stats" else None,
+    failure_of_slot = {f.index: f for f in outcome.failures}
+    lost_of: dict[int, list[str]] = {i: [] for i in missed}
+    executed_trials = 0
+    for slot, (i, t) in enumerate(units):
+        failure = failure_of_slot.get(slot)
+        if failure is not None:
+            lost_of[i].append(f"trial {t} {failure.kind}: {failure.error}")
+        elif outcome.values[slot] is not None:
+            values[i][t] = outcome.values[slot]
+            executed_trials += 1
+    notes: list[str | None] = [None] * len(specs)
+    for i in missed:
+        done = values[i]
+        campaigns[i] = None
+        if len(done) == trials:
+            payload = tuple(done[t] for t in range(trials))
+            campaigns[i] = RuntimeCampaignResult(
+                spec=specs[i],
+                seed=seeds[i],
+                trial_seeds=trial_seeds[i],
+                traces=payload if reduce == "traces" else None,
+                summaries=payload if reduce == "stats" else None,
+            )
+            if keys[i] is not None:
+                cache.put(keys[i], campaigns[i])
+        elif lost_of[i]:
+            notes[i] = (
+                f"{trials - len(done)} of {trials} trials lost "
+                f"after retry exhaustion ({'; '.join(lost_of[i][:2])})"
+            )
+        else:  # drained before this point's trials all ran
+            notes[i] = f"interrupted with {len(done)} of {trials} trials done"
+    return _Executed(
+        campaigns=tuple(campaigns),
+        cached=cached,
+        notes=tuple(notes),
+        lost=outcome.failures,
+        counters=dict(outcome.counters),
+        interrupted=outcome.interrupted,
+        resumed_trials=resumed_trials,
+        executed_trials=executed_trials,
     )
-    if key is not None:
-        cache.put(key, result)
-    return result
 
 
 def _probe_trial_checkpoints(

@@ -10,7 +10,7 @@ from repro.experiments.tables import ExampleRow
 from repro.utils.ascii import ascii_plot, format_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports figures)
-    from repro.experiments.sweep import RuntimeSweepResult, SweepResult
+    from repro.experiments.sweep import SweepResult
 
 __all__ = [
     "render_series",
@@ -78,8 +78,12 @@ def _resilience_lines(result: "SweepResult") -> list[str]:
             f"resumed: {result.resumed_trials} trial(s) served from "
             f"checkpoints, {result.executed_trials} executed"
         )
-    for index, note in result.failures:
-        lines.append(f"FAILED point #{index}: {note}")
+    return lines + _degradation_lines(result)
+
+
+def _degradation_lines(result: "SweepResult") -> list[str]:
+    """One line per failed point, plus a drain notice (empty when complete)."""
+    lines = [f"FAILED point #{index}: {note}" for index, note in result.failures]
     if result.interrupted:
         lines.append(
             "interrupted: run was drained before completing — re-run with "
@@ -88,19 +92,63 @@ def _resilience_lines(result: "SweepResult") -> list[str]:
     return lines
 
 
-def render_sweep(result: "RuntimeSweepResult", plot: bool = True) -> str:
-    """Render every panel of a runtime failure-regime sweep (one per metric)."""
-    header = (
-        f"Online runtime sweep — {result.trials} trials/point, seed {result.seed}, "
-        f"policy {result.spec.runtime.policy}, admission {result.spec.runtime.admission}, "
-        f"mttf grid {[f'{m:g}' for m in result.mttf_grid]}"
+def _regime_label(point) -> str:
+    """Curve label of a failure-regime sweep point: mttr × shape, plus the
+    crash-group size and load coupling when the point has them."""
+    faults = point.spec.faults
+    mttr = "∞" if faults.mttr_periods is None else f"{faults.mttr_periods:g}Δ"
+    label = f"mttr={mttr}, shape={faults.weibull_shape:g}"
+    if faults.group_size is not None:
+        label += f", groups={faults.group_size}"
+    if faults.load_coupling:
+        label += f", load={faults.load_coupling:g}"
+    return label
+
+
+def render_sweep(result: "SweepResult", plot: bool = True) -> str:
+    """Render a failure-regime sweep (``runtime --sweep``), one panel per metric.
+
+    *result* is the suite run over the failure-regime axes, mttf first.
+    Each panel plots a metric against mttf with one curve per regime label.
+    Retries that recovered leave the report as it would be on an undisturbed
+    run; a lost point renders NaN cells and a ``FAILED point`` line.
+    """
+    from repro.experiments.sweep import SWEEP_METRICS
+
+    runtime = result.suite.base.runtime
+    mttf_grid = tuple(
+        float(m) for m in result.suite.axis_values("faults.mttf_periods")
     )
-    lines = [header]
+    lines = [
+        f"Online runtime sweep — {result.trials} trials/point, seed {result.seed}, "
+        f"policy {runtime.policy}, admission {runtime.admission}, "
+        f"mttf grid {[f'{m:g}' for m in mttf_grid]}"
+    ]
     # only when a real cache backed the run: a cacheless `runtime --sweep`
     # keeps its historical, byte-stable report.
-    if result.sweep is not None and result.sweep.cache_enabled:
-        lines.append(_cache_line(result.sweep))
-    panels = [render_series(figure, plot=plot) for figure in result.figures()]
+    if result.cache_enabled:
+        lines.append(_cache_line(result))
+    lines.extend(_degradation_lines(result))
+    panels = []
+    for metric, attr in SWEEP_METRICS.items():
+        series: dict[str, list[float]] = {}
+        for point in result.points:
+            series.setdefault(_regime_label(point), []).append(
+                float("nan") if point.failed else getattr(point.stats, attr)
+            )
+        # mean latency is reported in periods of the *trial* schedule, which
+        # varies per workload; the panel still orders regimes correctly.
+        figure = FigureSeries(
+            name=f"runtime_sweep:{metric}",
+            x_label="mttf (periods)",
+            x=mttf_grid,
+            series={label: tuple(vals) for label, vals in series.items()},
+            description=(
+                f"Online runtime {metric} vs mttf ({result.trials} trials/point, "
+                f"policy {runtime.policy}, admission {runtime.admission})"
+            ),
+        )
+        panels.append(render_series(figure, plot=plot))
     return "\n\n".join(["\n".join(lines), *panels])
 
 

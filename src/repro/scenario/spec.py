@@ -475,8 +475,8 @@ class ScenarioSpec:
         """Expand axis dicts into the cartesian list of scenario specs.
 
         Axes are dotted paths mapped to value sequences; the product iterates
-        the *last* axis fastest (first axis major), matching the grid order of
-        :func:`repro.experiments.sweep.run_runtime_sweep`.  Keyword axes use
+        the *last* axis fastest (first axis major), the grid order of
+        :func:`repro.experiments.sweep.run_suite`.  Keyword axes use
         ``__`` for the dot: ``grid(faults__mttf_periods=[50, 100])``.
 
         >>> specs = ScenarioSpec().grid({

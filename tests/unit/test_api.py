@@ -26,12 +26,12 @@ from repro.core.rltf import rltf_schedule
 from repro.exceptions import SchedulingError, SpecificationError
 from repro.experiments.config import ExperimentConfig, workload_period
 from repro.experiments.parallel import run_runtime_campaign
-from repro.experiments.sweep import SWEEP_AXES, run_runtime_sweep
+from repro.experiments.sweep import SWEEP_AXES, run_suite
 from repro.failures.scenarios import sample_fault_trace
 from repro.graph.generator import random_paper_workload
 from repro.runtime.admission import QueueAdmissionPolicy
 from repro.runtime.engine import OnlineRuntime
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioSpec, SuiteSpec
 from repro.scenario.run import run_scenario_online
 from repro.utils.rng import derive_seed, ensure_rng
 
@@ -188,26 +188,16 @@ class TestGridMatchesSweep:
         point's campaign from the expanded specs reproduces the sweep stats."""
         base = SCENARIO.updated({"runtime.num_datasets": 20})
         mttf_grid, mttr_grid, shapes = (30.0, 60.0), (None,), (1.0, 1.5)
-        sweep = run_runtime_sweep(
-            base,
-            mttf_grid=mttf_grid,
-            mttr_grid=mttr_grid,
-            shapes=shapes,
-            trials=2,
-            seed=3,
-            jobs=1,
-        )
-        specs = base.updated({"faults.distribution": "weibull"}).grid(
-            dict(zip(SWEEP_AXES, (mttf_grid, mttr_grid, shapes)))
-        )
+        weibull = base.updated({"faults.distribution": "weibull"})
+        axes = dict(zip(SWEEP_AXES, (mttf_grid, mttr_grid, shapes)))
+        sweep = run_suite(SuiteSpec(base=weibull, axes=axes, trials=2, seed=3), jobs=1)
+        specs = weibull.grid(axes)
         assert len(specs) == len(sweep.points) == 4
         rng = ensure_rng(3)
         for spec, point in zip(specs, sweep.points):
             seed = derive_seed(rng)
             assert seed == point.seed
-            assert spec.faults.mttf_periods == point.mttf_periods
-            assert spec.faults.mttr_periods == point.mttr_periods
-            assert spec.faults.weibull_shape == point.shape
+            assert spec == point.spec
             campaign = run_runtime_campaign(spec, trials=2, seed=seed, jobs=1)
             assert campaign.stats == point.stats
 

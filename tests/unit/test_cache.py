@@ -8,6 +8,7 @@ and corrupted entries are discarded, never trusted.
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -24,7 +25,8 @@ from repro.cache import (
 )
 from repro.cache import keys as cache_keys
 from repro.experiments.parallel import RuntimeCampaignResult, run_runtime_campaign
-from repro.scenario import ScenarioSpec
+from repro.experiments.sweep import run_suite
+from repro.scenario import ScenarioSpec, SuiteSpec
 
 SPEC = ScenarioSpec.from_dict(
     {
@@ -232,6 +234,23 @@ class TestCampaignCaching:
         assert warm == cold == uncached
         assert pickle.dumps(warm) == pickle.dumps(uncached)
         assert cache.stats.hits == 1 and cache.stats.writes == 1
+
+    def test_campaign_after_a_suite_point_is_a_full_hit(self, tmp_path):
+        """Campaigns and suite points share one executor and one campaign key:
+        a campaign with a suite point's spec, seed and trials is served whole
+        from that point's entry (a set stop flag would interrupt any work)."""
+        suite = SuiteSpec(
+            base=SPEC, axes={"faults.mttf_periods": [30.0, 40.0]}, trials=2, seed=7
+        )
+        point = run_suite(suite, cache=DiskCache(tmp_path)).points[1]
+        cache = DiskCache(tmp_path)
+        stop = threading.Event()
+        stop.set()
+        campaign = run_runtime_campaign(
+            point.spec, trials=2, seed=point.seed, cache=cache, stop=stop
+        )
+        assert campaign == point.campaign
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (1, 0, 0)
 
     def test_editing_spec_or_seed_misses(self, tmp_path):
         cache = DiskCache(tmp_path)

@@ -6,9 +6,10 @@ from repro.experiments.campaign import instance_seeds, run_campaign, run_point
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ablation_rules, baseline_comparison, scaling_study
 from repro.experiments.parallel import run_runtime_campaign
-from repro.experiments.sweep import run_runtime_sweep
+from repro.experiments.reporting import render_sweep
+from repro.experiments.sweep import SWEEP_AXES, run_suite
 from repro.resilience import supervised_values
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioSpec, SuiteSpec
 from repro.scenario.run import run_scenario_online
 
 TINY = ExperimentConfig(
@@ -29,6 +30,17 @@ SPEC = ScenarioSpec(name="runtime-trial").updated(
         "faults.mttf_periods": 40.0,
     }
 )
+
+
+def _regime_suite(spec, mttf_grid, trials, seed):
+    """The failure-regime suite ``runtime --sweep`` runs: mttf × fail-stop ×
+    exponential-shape Weibull failures over *spec*."""
+    return SuiteSpec(
+        base=spec.updated({"faults.distribution": "weibull"}),
+        axes=dict(zip(SWEEP_AXES, (mttf_grid, (None,), (1.0,)))),
+        trials=trials,
+        seed=seed,
+    )
 
 
 def _square(x: int) -> int:
@@ -134,28 +146,35 @@ class TestCampaignJobs:
         assert set(serial.series) == set(fanned.series) == {"LTF", "R-LTF"}
 
     def test_runtime_sweep_jobs_are_bit_for_bit_identical(self):
-        spec = SPEC.updated({"runtime.num_datasets": 20})
-        serial = run_runtime_sweep(
-            spec, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=2, seed=3, jobs=1,
+        suite = _regime_suite(
+            SPEC.updated({"runtime.num_datasets": 20}), (30.0, 60.0), trials=2, seed=3
         )
-        fanned = run_runtime_sweep(
-            spec, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=2, seed=3, jobs=2,
-        )
+        serial = run_suite(suite, jobs=1)
+        fanned = run_suite(suite, jobs=2)
         assert serial.points == fanned.points
-        figure = serial.figure("availability")
-        assert figure.x == (30.0, 60.0)
-        assert set(figure.series) == {"mttr=∞, shape=1"}
-        assert len(serial.figures()) == 4
+        report = render_sweep(serial, plot=False)
+        assert "runtime_sweep:availability" in report
+        assert "mttf (periods) | mttr=∞, shape=1\n" in report
+        assert report.count("runtime_sweep:") == 4
 
-    def test_runtime_sweep_validation(self):
-        with pytest.raises(ValueError):
-            run_runtime_sweep(SPEC, mttf_grid=(), trials=1)
-        with pytest.raises(ValueError):
-            run_runtime_sweep(SPEC, trials=0)
-        with pytest.raises(ValueError):
-            run_runtime_sweep(SPEC, mttf_grid=(None,), trials=1)
+    def test_runtime_sweep_validation(self, capsys):
+        """Bad sweep grids and trial counts are exit-2 CLI errors."""
+        from repro.cli import main
+
+        cases = [
+            (["--sweep-mttf", ""], "--sweep-mttf: empty grid"),
+            (["--sweep-mttf", "none"], "--sweep-mttf: 'none'"),
+            (["--sweep-mttr", ""], "--sweep-mttr: empty grid"),
+            (["--sweep-shapes", ","], "--sweep-shapes: empty grid"),
+            (["--sweep-shapes", "none"], "--sweep-shapes: 'none'"),
+            (["--trials", "0"], "trials"),
+        ]
+        for flags, error in cases:
+            argv = ["runtime", "--sweep", "--trials", "1", "--datasets", "15", *flags]
+            assert main(argv) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("repro-streaming runtime: error: "), err
+            assert error in err, err
 
     def test_ablations_parallel_identical(self):
         serial = ablation_rules(TINY, jobs=1)
@@ -254,17 +273,12 @@ class TestStatsReduction:
 
     def test_suite_flattened_fanout_is_jobs_invariant(self):
         """trials × points share one pool; any jobs value is bit-identical."""
-        serial = run_runtime_sweep(
-            SPEC, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=3, seed=6, jobs=1,
-        )
-        fanned = run_runtime_sweep(
-            SPEC, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=3, seed=6, jobs=4,
-        )
+        suite = _regime_suite(SPEC, (30.0, 60.0), trials=3, seed=6)
+        serial = run_suite(suite, jobs=1)
+        fanned = run_suite(suite, jobs=4)
         assert fanned.points == serial.points
-        assert [p.campaign for p in fanned.sweep.points] == [
-            p.campaign for p in serial.sweep.points
+        assert [p.campaign for p in fanned.points] == [
+            p.campaign for p in serial.points
         ]
 
     def test_cli_reduce_flag(self, capsys):

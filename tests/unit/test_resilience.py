@@ -267,7 +267,37 @@ class TestCampaignResilience:
         assert grown.traces[:2] == small.traces
         assert cache2.stats.hits >= 2
 
-    def _suite(self):
+    def test_suite_point_consumes_a_drained_campaigns_checkpoints(self, tmp_path):
+        """Campaigns and suite points share one executor and one set of trial
+        keys: a suite point resumes the trials a drained campaign left."""
+        from repro.cache import DiskCache
+        from repro.experiments.parallel import run_runtime_campaign
+        from repro.experiments.sweep import run_suite
+        from repro.utils.rng import derive_seed, ensure_rng
+
+        suite = self._suite()
+        stop = threading.Event()
+
+        class DrainAfterFirstWrite(DiskCache):
+            def put(self, key, value):
+                super().put(key, value)
+                stop.set()
+
+        with pytest.raises(ExecutionInterrupted):
+            run_runtime_campaign(
+                suite.points()[0], trials=suite.trials,
+                seed=derive_seed(ensure_rng(suite.seed)),
+                cache=DrainAfterFirstWrite(tmp_path / "cache"), resume=True,
+                stop=stop,
+            )
+        resumed = run_suite(suite, cache=DiskCache(tmp_path / "cache"), resume=True)
+        assert resumed.resumed_trials == 1
+        assert resumed.executed_trials == 2 * suite.trials - 1
+        clean = run_suite(suite)
+        assert [p.campaign for p in resumed.points] == [p.campaign for p in clean.points]
+
+    @staticmethod
+    def _suite():
         from repro.scenario.spec import ScenarioSpec
         from repro.scenario.suite import SuiteSpec
 
@@ -398,3 +428,61 @@ class TestCliResilience:
             == 0
         )
         assert capsys.readouterr().out == clean
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_runtime_sweep_honours_chaos_and_reports_lost_points(
+        self, via_env, monkeypatch, capsys
+    ):
+        """A sweep point that exhausts its retries renders NaN cells and a
+        FAILED line — the chaos spec comes from --chaos or $REPRO_CHAOS."""
+        from repro.cli import main
+
+        args = [
+            "runtime", "--sweep", "--trials", "1", "--datasets", "15",
+            "--tasks", "10", "--processors", "5", "--epsilon", "1",
+            "--sweep-mttf", "40", "--sweep-mttr", "none", "--sweep-shapes", "1",
+            "--no-plot", "--max-retries", "0",
+        ]
+        if via_env:
+            monkeypatch.setenv(CHAOS_ENV, "corrupt=1,seed=1")
+        else:
+            args += ["--chaos", "corrupt=1,seed=1"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "FAILED point #0: 1 of 1 trials lost after retry exhaustion" in out
+        assert "nan" in out
+
+    def test_runtime_sweep_chaos_recovers_to_the_clean_report(self, capsys):
+        from repro.cli import main
+
+        args = [
+            "runtime", "--sweep", "--trials", "2", "--datasets", "15",
+            "--tasks", "10", "--processors", "5", "--epsilon", "1",
+            "--sweep-mttf", "40,80", "--sweep-mttr", "none", "--sweep-shapes", "1",
+            "--no-plot",
+        ]
+        assert main(args) == 0
+        clean = capsys.readouterr().out
+        assert main(args + ["--chaos", "crash=0.4,seed=11", "--max-retries", "6"]) == 0
+        assert capsys.readouterr().out == clean
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["runtime", "--trials", "1", "--datasets", "15"],
+            ["runtime", "--sweep", "--trials", "1", "--datasets", "15"],
+            ["suite", "run", "{suite}", "--no-cache"],
+            ["suite", "report", "{suite}", "--no-cache"],
+        ],
+        ids=["runtime", "runtime-sweep", "suite-run", "suite-report"],
+    )
+    def test_resume_without_a_cache_is_a_cli_error(self, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        suite_path = tmp_path / "suite.json"
+        TestCampaignResilience._suite().save(suite_path)
+        argv = [arg.replace("{suite}", str(suite_path)) for arg in argv]
+        assert main([*argv, "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --resume needs the result cache (--cache-dir)" in captured.err

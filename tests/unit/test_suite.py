@@ -17,12 +17,8 @@ from repro.api import Session
 from repro.cache import DiskCache, NullCache
 from repro.exceptions import SpecificationError
 from repro.experiments.parallel import run_runtime_campaign
-from repro.experiments.sweep import (
-    SWEEP_AXES,
-    SweepResult,
-    run_runtime_sweep,
-    run_suite,
-)
+from repro.experiments.reporting import render_sweep
+from repro.experiments.sweep import SWEEP_AXES, SweepResult, run_suite
 from repro.scenario import ScenarioSpec, SuiteSpec
 from repro.utils.rng import derive_seed, ensure_rng
 
@@ -76,8 +72,6 @@ class TestSuiteSpec:
             BASE.grid({"faults.mttf_periods": []})
         with pytest.raises(ValueError, match="'faults.mttf_periods' has no values"):
             BASE.grid(faults__mttf_periods=[])
-        with pytest.raises(ValueError, match="'faults.mttr_periods' has no values"):
-            run_runtime_sweep(BASE, mttr_grid=(), trials=1)
 
     def test_grid_accepts_iterables_and_unwraps_numpy(self):
         np = pytest.importorskip("numpy")
@@ -275,21 +269,15 @@ class TestSweepResultPanels:
 
 class TestFailureRegimeSweepIsASpecialCase:
     def test_runtime_sweep_rides_on_the_generic_engine(self):
-        sweep = run_runtime_sweep(
-            BASE, mttf_grid=(30.0, 60.0), mttr_grid=(None,), shapes=(1.0,),
-            trials=1, seed=2, jobs=1,
-        )
-        assert isinstance(sweep.sweep, SweepResult)
-        assert list(sweep.sweep.axes) == list(SWEEP_AXES)
-        for point, generic in zip(sweep.points, sweep.sweep.points):
-            assert point.stats == generic.stats
-            assert point.seed == generic.seed
-        # the mttf panel of the generic result carries the same numbers as
-        # the historical figure
-        figure = sweep.figure("availability")
-        panel = sweep.sweep.panel("faults.mttf_periods", metric="availability")
-        assert figure.x == panel.x
-        assert list(figure.series.values()) == list(panel.series.values())
+        result = run_suite(_regime_suite((30.0, 60.0), trials=1, seed=2), jobs=1)
+        assert list(result.axes) == list(SWEEP_AXES)
+        # the sweep report's mttf panel carries the same numbers as the
+        # generic panel over the same axis
+        panel = result.panel("faults.mttf_periods", metric="availability")
+        (values,) = panel.series.values()
+        report = render_sweep(result, plot=False)
+        for x, value in zip(panel.x, values):
+            assert f"{x:.2f} | {value:15.2f}" in report
 
     def test_cacheless_sweep_report_has_no_cache_line(self, capsys):
         """`runtime --sweep` without --cache-dir keeps its historical report."""
@@ -305,13 +293,26 @@ class TestFailureRegimeSweepIsASpecialCase:
         assert "cache:" not in capsys.readouterr().out
 
     def test_runtime_sweep_caches(self, tmp_path):
-        kwargs = dict(
-            mttf_grid=(30.0,), mttr_grid=(None,), shapes=(1.0,), trials=1, seed=0
+        suite = _regime_suite((30.0,), trials=1, seed=0)
+        cold = run_suite(suite, cache=DiskCache(tmp_path))
+        warm = run_suite(suite, cache=DiskCache(tmp_path))
+        assert warm.executed_count == 0
+        assert [p.stats for p in warm.points] == [p.stats for p in cold.points]
+        assert render_sweep(warm, plot=False) == render_sweep(cold, plot=False).replace(
+            "0 hits, 1 misses, 0 errors (0% hit rate) — executed 1",
+            "1 hits, 0 misses, 0 errors (100% hit rate) — executed 0",
         )
-        cold = run_runtime_sweep(BASE, cache=DiskCache(tmp_path), **kwargs)
-        warm = run_runtime_sweep(BASE, cache=DiskCache(tmp_path), **kwargs)
-        assert warm.sweep.executed_count == 0
-        assert warm.points == cold.points
+
+
+def _regime_suite(mttf_grid, trials, seed):
+    """The failure-regime suite ``runtime --sweep`` runs over BASE
+    (fail-stop, exponential-shape Weibull failures)."""
+    return SuiteSpec(
+        base=BASE.updated({"faults.distribution": "weibull"}),
+        axes=dict(zip(SWEEP_AXES, (mttf_grid, (None,), (1.0,)))),
+        trials=trials,
+        seed=seed,
+    )
 
 
 class TestSessionSweep:
