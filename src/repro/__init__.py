@@ -22,104 +22,106 @@ Quickstart
 True
 """
 
-from repro.exceptions import (
-    ReproError,
-    GraphError,
-    CycleError,
-    PlatformError,
-    ScheduleError,
-    SchedulingError,
-    ThroughputInfeasibleError,
-    ReplicationError,
-    ValidationError,
-)
-from repro.graph import (
-    Task,
-    TaskGraph,
-    random_layered_dag,
-    random_series_parallel,
-    random_paper_workload,
-    chain_graph,
-    fork_join_graph,
-    figure1_graph,
-    figure2_graph,
-    video_encoding_pipeline,
-    dsp_filter_bank,
-    map_reduce_graph,
-    sensor_fusion_graph,
-)
-from repro.platform import (
-    Processor,
-    Platform,
-    homogeneous_platform,
-    heterogeneous_platform,
-    paper_platform,
-    figure1_platform,
-    figure2_platform,
-)
-from repro.schedule import (
-    Replica,
-    Schedule,
-    compute_stages,
-    num_stages,
-    latency_upper_bound,
-    normalized_latency,
-    throughput,
-    communication_count,
-    fault_tolerance_overhead,
-    collect_metrics,
-    validate_schedule,
-    check_resilience,
-)
-from repro.core import (
-    ltf_schedule,
-    rltf_schedule,
-    fault_free_schedule,
-    fault_free_latency,
-    maximize_throughput,
-    maximize_resilience,
-)
-from repro.failures import (
-    CrashScenario,
-    sample_crash_scenarios,
-    crash_latency,
-    evaluate_crashes,
-    expected_crash_latency,
-    simulate_stream,
-    FaultEvent,
-    FaultTrace,
-    sample_fault_trace,
-)
-from repro.runtime import (
-    OnlineRuntime,
-    run_online,
-    RuntimeTrace,
-    summarize_traces,
-)
-from repro.baselines import (
-    heft_schedule,
-    etf_schedule,
-    preclustering_schedule,
-    expert_schedule,
-    tda_schedule,
-    wmsh_schedule,
-    minimal_period_schedule,
-)
-from repro.scenario import (
-    ScenarioSpec,
-    SuiteSpec,
-    WorkloadSpec,
-    SchedulerSpec,
-    FaultSpec,
-    RuntimeSpec,
-)
-from repro.api import (
-    Session,
-    Result,
-    ScheduleResult,
-    SimulateResult,
-    OnlineResult,
-    MonteCarloResult,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "exceptions": (
+            "ReproError",
+            "GraphError",
+            "CycleError",
+            "PlatformError",
+            "ScheduleError",
+            "SchedulingError",
+            "ThroughputInfeasibleError",
+            "ReplicationError",
+            "ValidationError",
+        ),
+        "graph": (
+            "Task",
+            "TaskGraph",
+            "random_layered_dag",
+            "random_series_parallel",
+            "random_paper_workload",
+            "chain_graph",
+            "fork_join_graph",
+            "figure1_graph",
+            "figure2_graph",
+            "video_encoding_pipeline",
+            "dsp_filter_bank",
+            "map_reduce_graph",
+            "sensor_fusion_graph",
+        ),
+        "platform": (
+            "Processor",
+            "Platform",
+            "homogeneous_platform",
+            "heterogeneous_platform",
+            "paper_platform",
+            "figure1_platform",
+            "figure2_platform",
+        ),
+        "schedule": (
+            "Replica",
+            "Schedule",
+            "compute_stages",
+            "num_stages",
+            "latency_upper_bound",
+            "normalized_latency",
+            "throughput",
+            "communication_count",
+            "fault_tolerance_overhead",
+            "collect_metrics",
+            "validate_schedule",
+            "check_resilience",
+        ),
+        "core": (
+            "ltf_schedule",
+            "rltf_schedule",
+            "fault_free_schedule",
+            "fault_free_latency",
+            "maximize_throughput",
+            "maximize_resilience",
+        ),
+        "failures": (
+            "CrashScenario",
+            "sample_crash_scenarios",
+            "crash_latency",
+            "evaluate_crashes",
+            "expected_crash_latency",
+            "simulate_stream",
+            "FaultEvent",
+            "FaultTrace",
+            "sample_fault_trace",
+        ),
+        "runtime": ("OnlineRuntime", "run_online", "RuntimeTrace", "summarize_traces"),
+        "baselines": (
+            "heft_schedule",
+            "etf_schedule",
+            "preclustering_schedule",
+            "expert_schedule",
+            "tda_schedule",
+            "wmsh_schedule",
+            "minimal_period_schedule",
+        ),
+        "scenario": (
+            "ScenarioSpec",
+            "SuiteSpec",
+            "WorkloadSpec",
+            "SchedulerSpec",
+            "FaultSpec",
+            "RuntimeSpec",
+        ),
+        "api": (
+            "Session",
+            "Result",
+            "ScheduleResult",
+            "SimulateResult",
+            "OnlineResult",
+            "MonteCarloResult",
+        ),
+    },
 )
 
 

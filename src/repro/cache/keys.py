@@ -68,8 +68,6 @@ def cache_code_version() -> str:
     installed ``repro`` package tree: editing any execution module re-keys
     the cache immediately, no ``pyproject.toml`` bump required.
     """
-    # Imported lazily: repro/__init__ pulls the whole public API and must not
-    # load just because the cache machinery was imported.
     import repro
     from repro import __version__
 

@@ -97,27 +97,21 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.experiments import figures as fig
-from repro.experiments.config import bench_config, paper_config
-from repro.experiments.reporting import render_example_rows, render_series
-from repro.experiments.tables import figure1_scenarios, figure2_example
-from repro.failures.scenarios import FAULT_DISTRIBUTIONS
-from repro.runtime.admission import ADMISSION_POLICIES
-from repro.runtime.policies import RESCHEDULE_POLICIES
+# Only the spec layer loads with the CLI; each command imports what it runs
+# (see docs/architecture.md, "Import layering").
+from repro.scenario.registries import (
+    ADMISSION_POLICIES,
+    FAULT_DISTRIBUTIONS,
+    RESCHEDULE_POLICIES,
+)
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["main", "build_parser"]
 
-_FIGURES: dict[str, Callable[..., "fig.FigureSeries"]] = {
-    "figure3a": fig.figure3a,
-    "figure3b": fig.figure3b,
-    "figure3c": fig.figure3c,
-    "figure4a": fig.figure4a,
-    "figure4b": fig.figure4b,
-    "figure4c": fig.figure4c,
-}
+#: the figure commands, each a function of :mod:`repro.experiments.figures`.
+_FIGURES = ("figure3a", "figure3b", "figure3c", "figure4a", "figure4b", "figure4c")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1104,6 +1098,8 @@ def _add_config_parser(sub) -> None:
 
 
 def _config(args: argparse.Namespace):
+    from repro.experiments.config import bench_config, paper_config
+
     config = paper_config() if args.paper_scale else bench_config()
     if args.graphs is not None:
         config = config.with_overrides(num_graphs=args.graphs)
@@ -1346,6 +1342,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = args.command
 
     if command == "examples":
+        from repro.experiments.reporting import render_example_rows
+        from repro.experiments.tables import figure1_scenarios, figure2_example
+
         print(render_example_rows(figure1_scenarios(), "Figure 1 — execution scenarios"))
         print()
         print(render_example_rows(figure2_example(), "Figure 2 — LTF vs R-LTF"))
@@ -1363,10 +1362,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if command == "serve":
         return _run_serve_command(args)
 
+    from repro.experiments import figures as fig
+    from repro.experiments.reporting import render_series
+
     config = _config(args)
     jobs = getattr(args, "jobs", 1)
     if command in _FIGURES:
-        series = _FIGURES[command](config, jobs=jobs)
+        series = getattr(fig, command)(config, jobs=jobs)
     elif command == "ablations":
         series = fig.ablation_rules(config, jobs=jobs)
     elif command == "baselines":

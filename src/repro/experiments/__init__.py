@@ -18,35 +18,40 @@
   its mttf/mttr × Weibull-shape axes.
 """
 
-from repro.experiments.config import ExperimentConfig, bench_config, paper_config, workload_period
-from repro.experiments.campaign import CampaignResult, PointResult, run_campaign, run_point
-from repro.experiments.figures import (
-    FigureSeries,
-    figure3a,
-    figure3b,
-    figure3c,
-    figure4a,
-    figure4b,
-    figure4c,
-    ablation_rules,
-    baseline_comparison,
-    scaling_study,
-)
-from repro.experiments.tables import figure1_scenarios, figure2_example
-from repro.experiments.reporting import (
-    render_series,
-    render_point_table,
-    render_suite,
-    render_sweep,
-)
-from repro.experiments.parallel import (
-    RuntimeCampaignResult,
-    run_runtime_campaign,
-)
-from repro.experiments.sweep import (
-    SuitePointResult,
-    SweepResult,
-    run_suite,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "ExperimentConfig",
+            "bench_config",
+            "paper_config",
+            "workload_period",
+        ),
+        "campaign": ("CampaignResult", "PointResult", "run_campaign", "run_point"),
+        "figures": (
+            "figure3a",
+            "figure3b",
+            "figure3c",
+            "figure4a",
+            "figure4b",
+            "figure4c",
+            "ablation_rules",
+            "baseline_comparison",
+            "scaling_study",
+        ),
+        "tables": ("figure1_scenarios", "figure2_example"),
+        "reporting": (
+            "FigureSeries",
+            "render_series",
+            "render_point_table",
+            "render_suite",
+            "render_sweep",
+        ),
+        "parallel": ("RuntimeCampaignResult", "run_runtime_campaign"),
+        "sweep": ("SuitePointResult", "SweepResult", "run_suite"),
+    },
 )
 
 __all__ = [

@@ -10,7 +10,6 @@ of a figure share a single sweep.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping
 
@@ -23,6 +22,7 @@ from repro.core.rltf import rltf_schedule
 from repro.exceptions import SchedulingError
 from repro.experiments.campaign import CampaignResult, point_seed, run_campaign
 from repro.experiments.config import ExperimentConfig, bench_config, workload_period
+from repro.experiments.reporting import FigureSeries
 from repro.graph.generator import random_paper_workload
 from repro.resilience.supervisor import supervised_values
 from repro.schedule.metrics import communication_count, latency_upper_bound
@@ -41,24 +41,6 @@ __all__ = [
     "scaling_study",
     "clear_campaign_cache",
 ]
-
-
-@dataclass
-class FigureSeries:
-    """The data behind one figure panel."""
-
-    name: str
-    x_label: str
-    x: tuple[float, ...]
-    series: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    description: str = ""
-
-    def as_rows(self) -> list[list[float]]:
-        """Table rows ``[x, series1, series2, ...]`` (used by the reports)."""
-        rows = []
-        for i, xv in enumerate(self.x):
-            rows.append([xv, *[vals[i] for vals in self.series.values()]])
-        return rows
 
 
 _CAMPAIGN_CACHE: dict[tuple, CampaignResult] = {}

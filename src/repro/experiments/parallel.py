@@ -39,7 +39,6 @@ from repro.runtime.trace import (
     combine_summaries,
     summarize_traces,
 )
-from repro.scenario.run import run_scenario_online, run_trial_summary
 from repro.scenario.spec import ScenarioSpec
 from repro.utils.rng import derive_seed, ensure_rng
 
@@ -112,10 +111,27 @@ class RuntimeCampaignResult:
 
     @property
     def stats(self) -> RuntimeStats:
-        """Aggregate statistics over the trials (identical for both modes)."""
-        if self.summaries is not None:
-            return combine_summaries(self.summaries)
-        return summarize_traces(self.traces)
+        """Aggregate statistics over the trials (identical for both modes).
+
+        Computed on first access and kept with the instance (a campaign is
+        immutable), so every report reading it pays for one summary.  The
+        memo never reaches a pickle: see :meth:`__getstate__`.
+        """
+        stats = self.__dict__.get("_stats")
+        if stats is None:
+            if self.summaries is not None:
+                stats = combine_summaries(self.summaries)
+            else:
+                stats = summarize_traces(self.traces)
+            object.__setattr__(self, "_stats", stats)
+        return stats
+
+    def __getstate__(self) -> dict:
+        # the pickled state is the fields alone, as before the memo existed:
+        # cache entries keep their bytes whether or not stats was read
+        state = dict(self.__dict__)
+        state.pop("_stats", None)
+        return state
 
 
 def run_runtime_campaign(
@@ -222,6 +238,10 @@ def _run_trial_unit(item: tuple[ScenarioSpec, int], reduce: str):
     With ``reduce="stats"`` the trace never leaves the worker — only its
     :class:`~repro.runtime.trace.TraceSummary` does.
     """
+    # imported per call, not per module: a fully cached run never loads the
+    # trial path (the executor preloads it before any pool starts)
+    from repro.scenario.run import run_scenario_online, run_trial_summary
+
     point_spec, trial_seed = item
     if reduce == "stats":
         return run_trial_summary(point_spec, trial_seed)
@@ -280,6 +300,13 @@ def _execute_campaigns(
     def checkpoint(slot: int, value) -> None:
         i, t = units[slot]
         cache.put(trial_key(specs[i], seeds[i], t, reduce=reduce), value)
+
+    if units:
+        # pool workers fork from this process: import the trial path here,
+        # once, rather than in every worker
+        from repro.scenario.run import preload
+
+        preload(specs[i] for i in missed)
 
     outcome = supervised_map(
         partial(_run_trial_unit, reduce=reduce),

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.experiments.campaign import PointResult
-from repro.experiments.figures import FigureSeries
-from repro.experiments.tables import ExampleRow
 from repro.utils.ascii import ascii_plot, format_table
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports figures)
+if TYPE_CHECKING:  # pragma: no cover - types only (sweep imports this module)
+    from repro.experiments.campaign import PointResult
     from repro.experiments.sweep import SweepResult
+    from repro.experiments.tables import ExampleRow
 
 __all__ = [
+    "FigureSeries",
     "render_series",
     "render_point_table",
     "render_example_rows",
@@ -21,6 +22,24 @@ __all__ = [
     "render_latency_report",
     "render_trajectory",
 ]
+
+
+@dataclass
+class FigureSeries:
+    """The data behind one figure panel."""
+
+    name: str
+    x_label: str
+    x: tuple[float, ...]
+    series: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    description: str = ""
+
+    def as_rows(self) -> list[list[float]]:
+        """Table rows ``[x, series1, series2, ...]`` (used by the reports)."""
+        rows = []
+        for i, xv in enumerate(self.x):
+            rows.append([xv, *[vals[i] for vals in self.series.values()]])
+        return rows
 
 
 def render_series(figure: FigureSeries, plot: bool = True) -> str:
@@ -32,7 +51,7 @@ def render_series(figure: FigureSeries, plot: bool = True) -> str:
     return table + "\n\n" + ascii_plot(figure.series)
 
 
-def render_point_table(points: Sequence[PointResult]) -> str:
+def render_point_table(points: Sequence["PointResult"]) -> str:
     """Render raw campaign points (one row per granularity, one column per metric)."""
     if not points:
         return "(no data)"
@@ -152,6 +171,18 @@ def render_sweep(result: "SweepResult", plot: bool = True) -> str:
     return "\n\n".join(["\n".join(lines), *panels])
 
 
+def _render_grid(result, header, metrics, title, x_axis, y_axis, plot) -> str:
+    """*header* lines, the per-point table of *metrics*, one panel per metric."""
+    table = format_table(result.row_headers(metrics), result.as_rows(metrics), title=title)
+    if not result.suite.axes:
+        return "\n\n".join(["\n".join(header), table])
+    panels = [
+        render_series(result.panel(x_axis, metric, y_axis=y_axis), plot=plot)
+        for metric in metrics
+    ]
+    return "\n\n".join(["\n".join(header), table, *panels])
+
+
 def render_suite(
     result: "SweepResult",
     x_axis: str | None = None,
@@ -168,22 +199,14 @@ def render_suite(
     """
     from repro.experiments.sweep import SWEEP_METRICS
 
-    suite = result.suite
     # the header shows the trials/seed this run actually executed with,
     # which --trials/--seed may have overridden from the suite's defaults
-    lines = [
-        f"Suite {suite.describe(trials=result.trials, seed=result.seed)}",
+    header = [
+        f"Suite {result.suite.describe(trials=result.trials, seed=result.seed)}",
         _cache_line(result),
         *_resilience_lines(result),
     ]
-    table = format_table(result.row_headers(), result.as_rows(), title="grid points")
-    if not suite.axes:
-        return "\n\n".join(["\n".join(lines), table])
-    panels = [
-        render_series(result.panel(x_axis, metric, y_axis=y_axis), plot=plot)
-        for metric in SWEEP_METRICS
-    ]
-    return "\n\n".join(["\n".join(lines), table, *panels])
+    return _render_grid(result, header, SWEEP_METRICS, "grid points", x_axis, y_axis, plot)
 
 
 def render_latency_report(
@@ -203,39 +226,16 @@ def render_latency_report(
     """
     from repro.experiments.sweep import REPORT_METRICS
 
-    suite = result.suite
-    lines = [
+    header = [
         f"Latency report — suite "
-        f"{suite.describe(trials=result.trials, seed=result.seed)}",
+        f"{result.suite.describe(trials=result.trials, seed=result.seed)}",
         _cache_line(result),
         *_resilience_lines(result),
         "percentiles are fixed-bucket upper edges (≤ ~8.5% high); max is exact",
     ]
-    headers = [*suite.axes, *REPORT_METRICS, "source"]
-    rows = []
-    for point in result.points:
-        stats = point.stats
-        metrics = (
-            [float("nan")] * len(REPORT_METRICS)
-            if point.failed
-            else [getattr(stats, attr) for attr in REPORT_METRICS.values()]
-        )
-        source = "failed" if point.failed else ("cache" if point.cached else "run")
-        rows.append(
-            [
-                *[point.value_of(path) for path in suite.axes],
-                *metrics,
-                source,
-            ]
-        )
-    table = format_table(headers, rows, title="latency by grid point")
-    if not suite.axes:
-        return "\n\n".join(["\n".join(lines), table])
-    panels = [
-        render_series(result.panel(x_axis, metric, y_axis=y_axis), plot=plot)
-        for metric in REPORT_METRICS
-    ]
-    return "\n\n".join(["\n".join(lines), table, *panels])
+    return _render_grid(
+        result, header, REPORT_METRICS, "latency by grid point", x_axis, y_axis, plot
+    )
 
 
 def render_trajectory(points: Sequence[dict], plot: bool = True) -> str:
@@ -274,7 +274,7 @@ def render_trajectory(points: Sequence[dict], plot: bool = True) -> str:
     return table + "\n\n" + ascii_plot(series)
 
 
-def render_example_rows(rows: Sequence[ExampleRow], title: str) -> str:
+def render_example_rows(rows: Sequence["ExampleRow"], title: str) -> str:
     """Render the Figure 1 / Figure 2 example tables."""
     headers = ["scenario", "latency", "throughput", "stages", "processors", "note"]
     table_rows = []

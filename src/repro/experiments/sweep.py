@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.cache import CacheStats, open_cache
 from repro.exceptions import SpecificationError
-from repro.experiments.figures import FigureSeries
+from repro.experiments.reporting import FigureSeries
 from repro.runtime.trace import RuntimeStats
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.suite import SuiteSpec
@@ -298,29 +298,30 @@ class SweepResult:
             self.panel(x_axis, metric, y_axis=y_axis) for metric in SWEEP_METRICS
         ]
 
-    def row_headers(self) -> list[str]:
-        """Column names of :meth:`as_rows`: axes, report metrics, provenance."""
-        return [*self.suite.axes, *SWEEP_METRICS, "source"]
+    def row_headers(self, metrics: dict[str, str] = SWEEP_METRICS) -> list[str]:
+        """Column names of :meth:`as_rows`: axes, *metrics*, provenance."""
+        return [*self.suite.axes, *metrics, "source"]
 
-    def as_rows(self) -> list[list[object]]:
-        """One row per grid point: axis values, report metrics, provenance.
+    def as_rows(self, metrics: dict[str, str] = SWEEP_METRICS) -> list[list[object]]:
+        """One row per grid point: axis values, *metrics*, provenance.
 
-        The metric columns are exactly :data:`SWEEP_METRICS` (one source of
-        truth with the panels), in the same order as :meth:`row_headers`.
+        *metrics* maps column names to :class:`~repro.runtime.trace.
+        RuntimeStats` attributes — :data:`SWEEP_METRICS` (one source of truth
+        with the panels) or :data:`REPORT_METRICS` — in the order of
+        :meth:`row_headers`.
         """
         rows = []
         for point in self.points:
-            stats = point.stats
-            metrics = (
-                [float("nan")] * len(SWEEP_METRICS)
+            values = (
+                [float("nan")] * len(metrics)
                 if point.failed
-                else [getattr(stats, attr) for attr in SWEEP_METRICS.values()]
+                else [getattr(point.stats, attr) for attr in metrics.values()]
             )
             source = "failed" if point.failed else ("cache" if point.cached else "run")
             rows.append(
                 [
                     *[point.value_of(path) for path in self.suite.axes],
-                    *metrics,
+                    *values,
                     source,
                 ]
             )

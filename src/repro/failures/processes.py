@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.platform.platform import Platform
+from repro.scenario.registries import FAULT_DISTRIBUTIONS
 from repro.utils.checks import check_positive
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "resolve_groups",
 ]
 
-#: fault-arrival distributions understood by :class:`RenewalFaultProcess`.
-FAULT_DISTRIBUTIONS = ("exponential", "weibull")
 
 #: a raw event before it becomes a FaultEvent: (time, processor, kind).
 RawEvent = tuple[float, str, str]

@@ -22,19 +22,22 @@ sampling helpers duck-type the trace instead).
 See ``docs/observability.md`` for the user-facing tour.
 """
 
-from repro.obs.gantt import (
-    STATUS_COLORS,
-    render_gantt_html,
-    render_gantt_svg,
-    write_gantt,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "gantt": (
+            "STATUS_COLORS",
+            "render_gantt_html",
+            "render_gantt_svg",
+            "write_gantt",
+        ),
+        "metrics": ("LATENCY_BUCKET_EDGES", "LatencyHistogram", "MetricsRegistry"),
+        "probe": ("MetricsProbe", "Probe"),
+        "sample": ("sample_trace",),
+    },
 )
-from repro.obs.metrics import (
-    LATENCY_BUCKET_EDGES,
-    LatencyHistogram,
-    MetricsRegistry,
-)
-from repro.obs.probe import MetricsProbe, Probe
-from repro.obs.sample import sample_trace
 
 __all__ = [
     "LATENCY_BUCKET_EDGES",

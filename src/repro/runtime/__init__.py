@@ -22,30 +22,37 @@ One seeded Monte-Carlo trial of a scenario is
 :mod:`repro.experiments.parallel`.
 """
 
-from repro.runtime.admission import (
-    AdmissionPolicy,
-    ShedAdmissionPolicy,
-    QueueAdmissionPolicy,
-    ADMISSION_POLICIES,
-    resolve_admission,
-)
-from repro.runtime.engine import OnlineRuntime, run_online
-from repro.runtime.policies import (
-    ReschedulePolicy,
-    RLTFReschedulePolicy,
-    RemapReschedulePolicy,
-    RESCHEDULE_POLICIES,
-    resolve_policy,
-)
-from repro.runtime.trace import (
-    DatasetRecord,
-    RuntimeEvent,
-    RuntimeTrace,
-    RuntimeStats,
-    TraceSummary,
-    combine_summaries,
-    summarize_trace,
-    summarize_traces,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "admission": (
+            "AdmissionPolicy",
+            "ShedAdmissionPolicy",
+            "QueueAdmissionPolicy",
+            "ADMISSION_POLICIES",
+            "resolve_admission",
+        ),
+        "engine": ("OnlineRuntime", "run_online"),
+        "policies": (
+            "ReschedulePolicy",
+            "RLTFReschedulePolicy",
+            "RemapReschedulePolicy",
+            "RESCHEDULE_POLICIES",
+            "resolve_policy",
+        ),
+        "trace": (
+            "DatasetRecord",
+            "RuntimeEvent",
+            "RuntimeTrace",
+            "RuntimeStats",
+            "TraceSummary",
+            "combine_summaries",
+            "summarize_trace",
+            "summarize_traces",
+        ),
+    },
 )
 
 __all__ = [

@@ -19,8 +19,9 @@ those constraints:
   mid-rebuild.
 
 Policies are resolved by name through :data:`ADMISSION_POLICIES`
-(:class:`~repro.utils.registry.PolicyRegistry`), mirroring the rescheduling
-policies of :mod:`repro.runtime.policies`.
+(:class:`~repro.utils.registry.PolicyRegistry`, declared in
+:mod:`repro.scenario.registries`), mirroring the rescheduling policies of
+:mod:`repro.runtime.policies`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Protocol, runtime_checkable
 
-from repro.utils.registry import PolicyRegistry
+from repro.scenario.registries import ADMISSION_POLICIES
 
 __all__ = [
     "AdmissionPolicy",
@@ -162,12 +163,6 @@ class QueueAdmissionPolicy:
         drained = list(self._buffer)
         self._buffer.clear()
         return drained
-
-
-#: registry of admission policies: name -> zero-argument factory.
-ADMISSION_POLICIES = PolicyRegistry("admission policy")
-ADMISSION_POLICIES.register(ShedAdmissionPolicy)
-ADMISSION_POLICIES.register(QueueAdmissionPolicy)
 
 
 def resolve_admission(policy: str | AdmissionPolicy) -> AdmissionPolicy:

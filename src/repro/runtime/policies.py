@@ -21,10 +21,11 @@ Two policies are provided:
 Both are deterministic: given the same inputs they return the same schedule.
 
 Policies are resolved *by name* through the :data:`RESCHEDULE_POLICIES`
-registry (:class:`~repro.utils.registry.PolicyRegistry`): the CLI derives its
-``--policy`` choices from it, :class:`~repro.scenario.spec.RuntimeSpec`
+registry (:class:`~repro.utils.registry.PolicyRegistry`, declared with the
+other spec-layer names in :mod:`repro.scenario.registries`): the CLI derives
+its ``--policy`` choices from it, :class:`~repro.scenario.spec.RuntimeSpec`
 validates against it, and the experiment sweeps iterate it — registering a new
-policy class here is all it takes to expose it everywhere.
+policy class there is all it takes to expose it everywhere.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.exceptions import SchedulingError
 from repro.graph.dag import TaskGraph
 from repro.platform.platform import Platform
 from repro.schedule.schedule import Schedule
-from repro.utils.registry import PolicyRegistry
+from repro.scenario.registries import RESCHEDULE_POLICIES
 
 __all__ = [
     "ReschedulePolicy",
@@ -156,12 +157,6 @@ class RLTFReschedulePolicy:
             f"R-LTF found no feasible schedule on {platform.num_processors} survivors "
             f"(period backoffs {self.period_backoffs})"
         )
-
-
-#: registry of rescheduling policies: name -> zero-argument factory.
-RESCHEDULE_POLICIES = PolicyRegistry("rescheduling policy")
-RESCHEDULE_POLICIES.register(RLTFReschedulePolicy)
-RESCHEDULE_POLICIES.register(RemapReschedulePolicy)
 
 
 def resolve_policy(policy: str | ReschedulePolicy) -> ReschedulePolicy:

@@ -282,21 +282,43 @@ class TraceSummary:
 
 
 def summarize_trace(trace: RuntimeTrace) -> TraceSummary:
-    """Reduce one trace to the scalars campaign statistics are built from."""
+    """Reduce one trace to the scalars campaign statistics are built from.
+
+    One pass over the records builds what the :class:`RuntimeTrace`
+    properties would each rebuild — the latency tuple, the completion
+    times, the losses by reason — and every statistic is then computed from
+    them exactly as the properties do, so each field equals its property
+    bit for bit (property-tested in ``tests/property``).
+    """
+    latencies: list[float] = []
+    completions: list[float] = []
+    lost: dict[str, int] = {}
+    for record in trace.records:
+        if record.status == "completed":
+            completions.append(record.completion)
+            latencies.append(record.completion - record.release)
+        else:
+            lost[record.status] = lost.get(record.status, 0) + 1
+    lats = tuple(latencies)
+    num_datasets = len(trace.records)
+    completed = len(lats)
+    achieved_period = trace.period
+    if completed >= 2:  # then the tail half of the gaps is never empty
+        achieved_period = float(np.mean(np.diff(completions)[(completed - 1) // 2 :]))
     return TraceSummary(
-        num_datasets=trace.num_datasets,
-        completed_count=trace.completed_count,
+        num_datasets=num_datasets,
+        completed_count=completed,
         num_rebuilds=trace.num_rebuilds,
         downtime=trace.downtime,
         availability=trace.availability,
-        loss_rate=trace.loss_rate,
-        mean_latency=trace.mean_latency,
-        achieved_period=trace.achieved_period,
+        loss_rate=(num_datasets - completed) / num_datasets if num_datasets else 0.0,
+        mean_latency=float(np.mean(lats)) if lats else float("nan"),
+        achieved_period=achieved_period,
         aborted=trace.aborted,
         crashes=sum(1 for e in trace.events if e.kind.startswith("crash")),
-        lost_by_reason=trace.lost_by_reason(),
-        max_latency=trace.max_latency,
-        latency_histogram=trace.latency_histogram().as_sparse(),
+        lost_by_reason=lost,
+        max_latency=float(max(lats)) if lats else float("nan"),
+        latency_histogram=LatencyHistogram.from_values(lats).as_sparse(),
     )
 
 

@@ -23,30 +23,37 @@ The user-facing entry point is the :class:`repro.api.Session` facade; sweeps
 and campaigns consume specs directly.
 """
 
-from repro.scenario.grid import apply_changes, expand_grid, normalize_axis
-from repro.scenario.registries import (
-    PLATFORM_BUILDERS,
-    SCHEDULERS,
-    WORKLOAD_GENERATORS,
-    SchedulerEntry,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "grid": ("apply_changes", "expand_grid", "normalize_axis"),
+        "registries": (
+            "PLATFORM_BUILDERS",
+            "SCHEDULERS",
+            "WORKLOAD_GENERATORS",
+            "SchedulerEntry",
+        ),
+        "run": (
+            "build_fault_trace",
+            "build_schedule",
+            "build_workload",
+            "resolve_period",
+            "resolve_seeds",
+            "run_scenario_online",
+        ),
+        "serialize": ("spec_from_dict", "spec_to_dict"),
+        "spec": (
+            "FaultSpec",
+            "RuntimeSpec",
+            "ScenarioSpec",
+            "SchedulerSpec",
+            "WorkloadSpec",
+        ),
+        "suite": ("SuiteSpec",),
+    },
 )
-from repro.scenario.run import (
-    build_fault_trace,
-    build_schedule,
-    build_workload,
-    resolve_period,
-    resolve_seeds,
-    run_scenario_online,
-)
-from repro.scenario.serialize import spec_from_dict, spec_to_dict
-from repro.scenario.spec import (
-    FaultSpec,
-    RuntimeSpec,
-    ScenarioSpec,
-    SchedulerSpec,
-    WorkloadSpec,
-)
-from repro.scenario.suite import SuiteSpec
 
 __all__ = [
     "ScenarioSpec",

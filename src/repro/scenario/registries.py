@@ -1,14 +1,18 @@
 """Named registries turning scenario specs into live objects.
 
 A :class:`~repro.scenario.spec.ScenarioSpec` is pure data — every component it
-references (workload generator, platform builder, scheduler) is a *name*
-resolved here through the :class:`~repro.utils.registry.PolicyRegistry`
-machinery, exactly like the rescheduling and admission policies of the online
-runtime.  Registering a new entry in one of these registries makes it
-reachable from JSON scenario files, the :class:`~repro.api.Session` facade,
-the CLI and the sweep/campaign layers without further wiring.
+references (workload generator, platform builder, scheduler, rescheduling and
+admission policy, fault distribution) is a *name* resolved here through the
+:class:`~repro.utils.registry.PolicyRegistry` machinery.  Registering a new
+entry in one of these registries makes it reachable from JSON scenario files,
+the :class:`~repro.api.Session` facade, the CLI and the sweep/campaign layers
+without further wiring.
 
-Three registries live here:
+This module is the spec layer's name table, so it imports no scheduler,
+generator or runtime module: validating a spec, or building the CLI's
+``choices``, needs only the names.  Each entry imports its implementation on
+first use — a generator or platform builder when it is called, a scheduler's
+``build`` on first access, a policy class on its first lookup.
 
 * :data:`WORKLOAD_GENERATORS` — ``name -> fn(spec, seed) -> PaperWorkload``.
   ``"paper"`` is the random experimental workload of Section 5 (bit-identical
@@ -19,6 +23,11 @@ Three registries live here:
 * :data:`SCHEDULERS` — ``name -> SchedulerEntry`` wrapping the scheduling
   heuristics (LTF, R-LTF, fault-free reference, related-work baselines) with
   the metadata the runner needs (does the heuristic accept ``epsilon``?).
+* :data:`RESCHEDULE_POLICIES` / :data:`ADMISSION_POLICIES` — the online
+  runtime's policy classes (:mod:`repro.runtime.policies`,
+  :mod:`repro.runtime.admission`), zero-argument factories.
+* :data:`FAULT_DISTRIBUTIONS` — the inter-failure laws of
+  :mod:`repro.failures.processes`.
 
 Unknown names raise with the registered names and close-match suggestions.
 """
@@ -29,71 +38,70 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+from repro.utils.registry import PolicyRegistry, load_target
 
-from repro.baselines import (
-    etf_schedule,
-    expert_schedule,
-    heft_schedule,
-    preclustering_schedule,
-    tda_schedule,
-    wmsh_schedule,
-)
-from repro.core.fault_free import fault_free_schedule
-from repro.core.ltf import ltf_schedule
-from repro.core.rltf import rltf_schedule
-from repro.graph.analysis import granularity
-from repro.graph.dag import TaskGraph
-from repro.graph.examples import (
-    dsp_filter_bank,
-    map_reduce_graph,
-    sensor_fusion_graph,
-    video_encoding_pipeline,
-)
-from repro.graph.generator import (
-    PaperWorkload,
-    chain_graph,
-    fork_join_graph,
-    random_layered_dag,
-    random_paper_workload,
-    random_series_parallel,
-)
-from repro.platform.builders import (
-    heterogeneous_platform,
-    homogeneous_platform,
-    paper_platform,
-)
-from repro.platform.platform import Platform
-from repro.schedule.schedule import Schedule
-from repro.utils.registry import PolicyRegistry
-from repro.utils.rng import ensure_rng
+if TYPE_CHECKING:  # pragma: no cover - types only
+    import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.graph.dag import TaskGraph
+    from repro.graph.generator import PaperWorkload
+    from repro.platform.platform import Platform
     from repro.scenario.spec import WorkloadSpec
+    from repro.schedule.schedule import Schedule
 
 __all__ = [
     "WORKLOAD_GENERATORS",
     "PLATFORM_BUILDERS",
     "SCHEDULERS",
     "SchedulerEntry",
+    "RESCHEDULE_POLICIES",
+    "ADMISSION_POLICIES",
+    "FAULT_DISTRIBUTIONS",
 ]
+
+#: fault-arrival distributions understood by
+#: :class:`~repro.failures.processes.RenewalFaultProcess`.
+FAULT_DISTRIBUTIONS = ("exponential", "weibull")
+
+#: online rescheduling policies: name -> zero-argument factory.
+RESCHEDULE_POLICIES = PolicyRegistry("rescheduling policy")
+RESCHEDULE_POLICIES.register_lazy("rltf", "repro.runtime.policies:RLTFReschedulePolicy")
+RESCHEDULE_POLICIES.register_lazy("remap", "repro.runtime.policies:RemapReschedulePolicy")
+
+#: admission policies: name -> zero-argument factory.
+ADMISSION_POLICIES = PolicyRegistry("admission policy")
+ADMISSION_POLICIES.register_lazy("shed", "repro.runtime.admission:ShedAdmissionPolicy")
+ADMISSION_POLICIES.register_lazy("queue", "repro.runtime.admission:QueueAdmissionPolicy")
 
 
 # ------------------------------------------------------------------ platforms
 PLATFORM_BUILDERS = PolicyRegistry("platform builder")
 
-PLATFORM_BUILDERS.register(
-    lambda m, rng: paper_platform(seed=rng, m=m), name="paper"
-)
-PLATFORM_BUILDERS.register(
-    lambda m, rng: homogeneous_platform(m), name="homogeneous"
-)
-PLATFORM_BUILDERS.register(
-    lambda m, rng: heterogeneous_platform(m, seed=rng), name="heterogeneous"
-)
+
+def _paper_platform(m: int, rng) -> "Platform":
+    from repro.platform.builders import paper_platform
+
+    return paper_platform(seed=rng, m=m)
 
 
-def _build_platform(spec: "WorkloadSpec", rng: np.random.Generator) -> Platform:
+def _homogeneous_platform(m: int, rng) -> "Platform":
+    from repro.platform.builders import homogeneous_platform
+
+    return homogeneous_platform(m)
+
+
+def _heterogeneous_platform(m: int, rng) -> "Platform":
+    from repro.platform.builders import heterogeneous_platform
+
+    return heterogeneous_platform(m, seed=rng)
+
+
+PLATFORM_BUILDERS.register(_paper_platform, name="paper")
+PLATFORM_BUILDERS.register(_homogeneous_platform, name="homogeneous")
+PLATFORM_BUILDERS.register(_heterogeneous_platform, name="heterogeneous")
+
+
+def _build_platform(spec: "WorkloadSpec", rng: "np.random.Generator") -> "Platform":
     builder = PLATFORM_BUILDERS.lookup(spec.platform or "paper")
     return builder(spec.num_processors, rng)
 
@@ -102,8 +110,10 @@ def _build_platform(spec: "WorkloadSpec", rng: np.random.Generator) -> Platform:
 WORKLOAD_GENERATORS = PolicyRegistry("workload generator")
 
 
-def _paper_workload(spec: "WorkloadSpec", seed) -> PaperWorkload:
+def _paper_workload(spec: "WorkloadSpec", seed) -> "PaperWorkload":
     """The Section-5 random workload — the exact historical trial call."""
+    from repro.graph.generator import random_paper_workload
+
     kwargs = dict(spec.options)
     if spec.task_range is not None:
         kwargs["task_range"] = spec.task_range
@@ -119,7 +129,12 @@ def _paper_workload(spec: "WorkloadSpec", seed) -> PaperWorkload:
 WORKLOAD_GENERATORS.register(_paper_workload, name="paper")
 
 
-def _wrap_graph(graph: TaskGraph, spec: "WorkloadSpec", rng, seed) -> PaperWorkload:
+def _wrap_graph(graph: "TaskGraph", spec: "WorkloadSpec", rng, seed) -> "PaperWorkload":
+    import numpy as np
+
+    from repro.graph.analysis import granularity
+    from repro.graph.generator import PaperWorkload
+
     platform = _build_platform(spec, rng)
     achieved = granularity(graph, platform)
     target = float(achieved) if math.isfinite(achieved) and achieved > 0 else 1.0
@@ -134,11 +149,16 @@ def _wrap_graph(graph: TaskGraph, spec: "WorkloadSpec", rng, seed) -> PaperWorkl
 
 def _register_graph(
     name: str,
-    build: Callable[..., TaskGraph],
+    target: str,
     size_param: str | None = None,
     takes_seed: bool = False,
 ) -> None:
-    def generate(spec: "WorkloadSpec", seed) -> PaperWorkload:
+    """Register the graph builder at *target* (``module:function``) under *name*."""
+
+    def generate(spec: "WorkloadSpec", seed) -> "PaperWorkload":
+        from repro.utils.rng import ensure_rng
+
+        build = load_target(target)
         rng = ensure_rng(seed)
         kwargs = dict(spec.options)
         if size_param is not None and size_param not in kwargs and spec.num_tasks:
@@ -150,40 +170,56 @@ def _register_graph(
     WORKLOAD_GENERATORS.register(generate, name=name)
 
 
-_register_graph("chain", chain_graph, size_param="length")
-_register_graph("fork-join", fork_join_graph, size_param="branches")
-_register_graph("video", video_encoding_pipeline)
-_register_graph("dsp", dsp_filter_bank)
-_register_graph("map-reduce", map_reduce_graph)
-_register_graph("sensor-fusion", sensor_fusion_graph)
-_register_graph("series-parallel", random_series_parallel, takes_seed=True)
-_register_graph("layered", random_layered_dag, size_param="num_tasks", takes_seed=True)
+_GENERATOR = "repro.graph.generator"
+_EXAMPLES = "repro.graph.examples"
+_register_graph("chain", f"{_GENERATOR}:chain_graph", size_param="length")
+_register_graph("fork-join", f"{_GENERATOR}:fork_join_graph", size_param="branches")
+_register_graph("video", f"{_EXAMPLES}:video_encoding_pipeline")
+_register_graph("dsp", f"{_EXAMPLES}:dsp_filter_bank")
+_register_graph("map-reduce", f"{_EXAMPLES}:map_reduce_graph")
+_register_graph("sensor-fusion", f"{_EXAMPLES}:sensor_fusion_graph")
+_register_graph("series-parallel", f"{_GENERATOR}:random_series_parallel", takes_seed=True)
+_register_graph(
+    "layered", f"{_GENERATOR}:random_layered_dag", size_param="num_tasks", takes_seed=True
+)
 
 
 # ---------------------------------------------------------------- schedulers
 @dataclass(frozen=True)
 class SchedulerEntry:
-    """One named scheduling heuristic plus the metadata the runner needs."""
+    """One named scheduling heuristic plus the metadata the runner needs.
+
+    ``build`` — the heuristic itself — is imported from :attr:`target` on its
+    first access and is an ordinary attribute from then on.
+    """
 
     name: str
-    build: Callable[..., Schedule]
+    #: ``"package.module:function"`` of the heuristic.
+    target: str
     #: whether ``build`` accepts the ``epsilon`` replication degree; heuristics
     #: without it (the fault-free reference, the related-work baselines) only
     #: accept scenarios with ``scheduler.epsilon == 0``.
     supports_epsilon: bool = True
 
+    def __getattr__(self, attribute: str):
+        if attribute != "build":
+            raise AttributeError(attribute)
+        build: Callable[..., "Schedule"] = load_target(self.target)
+        object.__setattr__(self, "build", build)
+        return build
+
 
 SCHEDULERS = PolicyRegistry("scheduler")
 for _entry in (
-    SchedulerEntry("rltf", rltf_schedule),
-    SchedulerEntry("ltf", ltf_schedule),
-    SchedulerEntry("fault-free", fault_free_schedule, supports_epsilon=False),
-    SchedulerEntry("heft", heft_schedule, supports_epsilon=False),
-    SchedulerEntry("etf", etf_schedule, supports_epsilon=False),
-    SchedulerEntry("preclustering", preclustering_schedule, supports_epsilon=False),
-    SchedulerEntry("expert", expert_schedule, supports_epsilon=False),
-    SchedulerEntry("tda", tda_schedule, supports_epsilon=False),
-    SchedulerEntry("wmsh", wmsh_schedule, supports_epsilon=False),
+    SchedulerEntry("rltf", "repro.core.rltf:rltf_schedule"),
+    SchedulerEntry("ltf", "repro.core.ltf:ltf_schedule"),
+    SchedulerEntry("fault-free", "repro.core.fault_free:fault_free_schedule", False),
+    SchedulerEntry("heft", "repro.baselines.listsched:heft_schedule", False),
+    SchedulerEntry("etf", "repro.baselines.listsched:etf_schedule", False),
+    SchedulerEntry("preclustering", "repro.baselines.clustering:preclustering_schedule", False),
+    SchedulerEntry("expert", "repro.baselines.expert:expert_schedule", False),
+    SchedulerEntry("tda", "repro.baselines.tda:tda_schedule", False),
+    SchedulerEntry("wmsh", "repro.baselines.wmsh:wmsh_schedule", False),
 ):
     SCHEDULERS.register(_entry, name=_entry.name)
 del _entry

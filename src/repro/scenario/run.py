@@ -40,6 +40,7 @@ __all__ = [
     "run_scenario_online",
     "run_trial_summary",
     "validate_spec_options",
+    "preload",
 ]
 
 
@@ -364,3 +365,20 @@ def run_trial_summary(spec: ScenarioSpec, seed: int) -> TraceSummary:
     summary is exactly ``summarize_trace(run_scenario_online(spec, seed))``.
     """
     return summarize_trace(run_scenario_online(spec, seed))
+
+
+def preload(specs) -> None:
+    """Import every module a trial of each of *specs* runs.
+
+    The campaign executor calls this before it starts a pool: workers fork
+    from the parent and inherit its modules, so the trial path is imported
+    once, not once per worker.  This module imports the runtime; the
+    schedulers resolve on first use (:mod:`repro.scenario.registries`), so
+    the ones *specs* name — fallback included — are resolved here.
+    """
+    import repro.experiments.config  # noqa: F401 - resolve_period imports it per call
+
+    for spec in specs:
+        names = {spec.scheduler.name, "ltf"} if spec.scheduler.fallback else {spec.scheduler.name}
+        for name in names:
+            SCHEDULERS.lookup(name).build  # noqa: B018 - the access imports it

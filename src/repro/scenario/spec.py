@@ -30,14 +30,19 @@ message names the field, and every name lookup suggests close matches.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 from repro.exceptions import SpecificationError
-from repro.failures.scenarios import FAULT_DISTRIBUTIONS
-from repro.runtime.admission import ADMISSION_POLICIES
-from repro.runtime.policies import RESCHEDULE_POLICIES
-from repro.scenario.registries import PLATFORM_BUILDERS, SCHEDULERS, WORKLOAD_GENERATORS
+from repro.scenario.registries import (
+    ADMISSION_POLICIES,
+    FAULT_DISTRIBUTIONS,
+    PLATFORM_BUILDERS,
+    RESCHEDULE_POLICIES,
+    SCHEDULERS,
+    WORKLOAD_GENERATORS,
+)
 
 __all__ = [
     "WorkloadSpec",
@@ -51,6 +56,21 @@ __all__ = [
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SpecificationError(message)
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON ``true`` must not count as ``1``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float that is not a bool (``inf``/``nan`` never are)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _check_name(registry, name: str, field_name: str) -> None:
@@ -107,24 +127,24 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         _check_name(WORKLOAD_GENERATORS, self.generator, "workload.generator")
         _require(
-            isinstance(self.granularity, (int, float)) and self.granularity > 0,
-            f"workload.granularity must be > 0, got {self.granularity!r}",
+            _is_real(self.granularity) and self.granularity > 0,
+            f"workload.granularity must be a finite number > 0, got {self.granularity!r}",
         )
         _set(self, "granularity", float(self.granularity))
         if self.num_tasks is not None:
             _require(
-                isinstance(self.num_tasks, int) and self.num_tasks >= 2,
+                _is_int(self.num_tasks) and self.num_tasks >= 2,
                 f"workload.num_tasks must be an int >= 2 or null, got {self.num_tasks!r}",
             )
         _require(
-            isinstance(self.num_processors, int) and self.num_processors >= 1,
+            _is_int(self.num_processors) and self.num_processors >= 1,
             f"workload.num_processors must be an int >= 1, got {self.num_processors!r}",
         )
         if self.task_range is not None:
             _require(
                 isinstance(self.task_range, Sequence)
                 and len(self.task_range) == 2
-                and all(isinstance(v, int) for v in self.task_range),
+                and all(_is_int(v) for v in self.task_range),
                 f"workload.task_range must be [low, high] ints or null, "
                 f"got {self.task_range!r}",
             )
@@ -144,7 +164,7 @@ class WorkloadSpec:
             )
         if self.seed is not None:
             _require(
-                isinstance(self.seed, int) and self.seed >= 0,
+                _is_int(self.seed) and self.seed >= 0,
                 f"workload.seed must be a non-negative int or null, got {self.seed!r}",
             )
         _set(self, "options", _check_options(self.options, "workload"))
@@ -175,7 +195,7 @@ class SchedulerSpec:
     def __post_init__(self) -> None:
         _check_name(SCHEDULERS, self.name, "scheduler.name")
         _require(
-            isinstance(self.epsilon, int) and self.epsilon >= 0,
+            _is_int(self.epsilon) and self.epsilon >= 0,
             f"scheduler.epsilon must be an int >= 0, got {self.epsilon!r}",
         )
         entry = SCHEDULERS.lookup(self.name)
@@ -187,13 +207,13 @@ class SchedulerSpec:
             )
         if self.period is not None:
             _require(
-                isinstance(self.period, (int, float)) and self.period > 0,
-                f"scheduler.period must be > 0 or null, got {self.period!r}",
+                _is_real(self.period) and self.period > 0,
+                f"scheduler.period must be a finite number > 0 or null, got {self.period!r}",
             )
             _set(self, "period", float(self.period))
         _require(
-            isinstance(self.period_slack, (int, float)) and self.period_slack > 0,
-            f"scheduler.period_slack must be > 0, got {self.period_slack!r}",
+            _is_real(self.period_slack) and self.period_slack > 0,
+            f"scheduler.period_slack must be a finite number > 0, got {self.period_slack!r}",
         )
         _set(self, "period_slack", float(self.period_slack))
         _require(
@@ -252,14 +272,14 @@ class FaultSpec:
 
     def __post_init__(self) -> None:
         _require(
-            isinstance(self.mttf_periods, (int, float)) and self.mttf_periods > 0,
-            f"faults.mttf_periods must be > 0, got {self.mttf_periods!r}",
+            _is_real(self.mttf_periods) and self.mttf_periods > 0,
+            f"faults.mttf_periods must be a finite number > 0, got {self.mttf_periods!r}",
         )
         _set(self, "mttf_periods", float(self.mttf_periods))
         if self.mttr_periods is not None:
             _require(
-                isinstance(self.mttr_periods, (int, float)) and self.mttr_periods > 0,
-                f"faults.mttr_periods must be > 0 or null, got {self.mttr_periods!r}",
+                _is_real(self.mttr_periods) and self.mttr_periods > 0,
+                f"faults.mttr_periods must be a finite number > 0 or null, got {self.mttr_periods!r}",
             )
             _set(self, "mttr_periods", float(self.mttr_periods))
         _require(
@@ -268,46 +288,45 @@ class FaultSpec:
             f"got {self.distribution!r}",
         )
         _require(
-            isinstance(self.weibull_shape, (int, float)) and self.weibull_shape > 0,
-            f"faults.weibull_shape must be > 0, got {self.weibull_shape!r}",
+            _is_real(self.weibull_shape) and self.weibull_shape > 0,
+            f"faults.weibull_shape must be a finite number > 0, got {self.weibull_shape!r}",
         )
         _set(self, "weibull_shape", float(self.weibull_shape))
         if self.repair_shape is not None:
             _require(
-                isinstance(self.repair_shape, (int, float)) and self.repair_shape > 0,
-                f"faults.repair_shape must be > 0 or null, got {self.repair_shape!r}",
+                _is_real(self.repair_shape) and self.repair_shape > 0,
+                f"faults.repair_shape must be a finite number > 0 or null, got {self.repair_shape!r}",
             )
             _set(self, "repair_shape", float(self.repair_shape))
         if self.seed is not None:
             _require(
-                isinstance(self.seed, int) and self.seed >= 0,
+                _is_int(self.seed) and self.seed >= 0,
                 f"faults.seed must be a non-negative int or null, got {self.seed!r}",
             )
         if self.group_size is not None:
             _require(
-                isinstance(self.group_size, int) and self.group_size >= 1,
+                _is_int(self.group_size) and self.group_size >= 1,
                 f"faults.group_size must be an int >= 1 or null, got {self.group_size!r}",
             )
         _require(
-            isinstance(self.load_coupling, (int, float)) and self.load_coupling >= 0,
-            f"faults.load_coupling must be >= 0, got {self.load_coupling!r}",
+            _is_real(self.load_coupling) and self.load_coupling >= 0,
+            f"faults.load_coupling must be a finite number >= 0, got {self.load_coupling!r}",
         )
         _set(self, "load_coupling", float(self.load_coupling))
         _require(
-            isinstance(self.spares, int) and not isinstance(self.spares, bool)
-            and self.spares >= 0,
+            _is_int(self.spares) and self.spares >= 0,
             f"faults.spares must be an int >= 0, got {self.spares!r}",
         )
         if self.join_periods is not None:
             _require(
-                isinstance(self.join_periods, (int, float)) and self.join_periods > 0,
-                f"faults.join_periods must be > 0 or null, got {self.join_periods!r}",
+                _is_real(self.join_periods) and self.join_periods > 0,
+                f"faults.join_periods must be a finite number > 0 or null, got {self.join_periods!r}",
             )
             _set(self, "join_periods", float(self.join_periods))
         if self.preempt_periods is not None:
             _require(
-                isinstance(self.preempt_periods, (int, float)) and self.preempt_periods > 0,
-                f"faults.preempt_periods must be > 0 or null, got {self.preempt_periods!r}",
+                _is_real(self.preempt_periods) and self.preempt_periods > 0,
+                f"faults.preempt_periods must be a finite number > 0 or null, got {self.preempt_periods!r}",
             )
             _set(self, "preempt_periods", float(self.preempt_periods))
         _require(
@@ -366,14 +385,14 @@ class RuntimeSpec:
 
     def __post_init__(self) -> None:
         _require(
-            isinstance(self.num_datasets, int) and self.num_datasets >= 1,
+            _is_int(self.num_datasets) and self.num_datasets >= 1,
             f"runtime.num_datasets must be an int >= 1, got {self.num_datasets!r}",
         )
         _check_name(RESCHEDULE_POLICIES, self.policy, "runtime.policy")
         _check_name(ADMISSION_POLICIES, self.admission, "runtime.admission")
         if self.queue_capacity is not None:
             _require(
-                isinstance(self.queue_capacity, int) and self.queue_capacity >= 1,
+                _is_int(self.queue_capacity) and self.queue_capacity >= 1,
                 f"runtime.queue_capacity must be an int >= 1 or null, "
                 f"got {self.queue_capacity!r}",
             )
@@ -386,8 +405,8 @@ class RuntimeSpec:
             f"runtime.rebuild_on_repair must be a bool, got {self.rebuild_on_repair!r}",
         )
         _require(
-            isinstance(self.rebuild_overhead, (int, float)) and self.rebuild_overhead >= 0,
-            f"runtime.rebuild_overhead must be >= 0, got {self.rebuild_overhead!r}",
+            _is_real(self.rebuild_overhead) and self.rebuild_overhead >= 0,
+            f"runtime.rebuild_overhead must be a finite number >= 0, got {self.rebuild_overhead!r}",
         )
         _set(self, "rebuild_overhead", float(self.rebuild_overhead))
         _require(

@@ -26,15 +26,22 @@ Start one from the CLI (``repro-streaming serve``) or embed it::
 See ``docs/service.md`` for the endpoint reference and a curl walkthrough.
 """
 
-from repro.service.app import ServiceApp, make_threaded_server, serve
-from repro.service.jobs import Job, JobProbe, JobStore
-from repro.service.limits import CircuitBreaker, CircuitOpen, PoolSaturated, WorkerPool
-from repro.service.models import (
-    ScenarioRequest,
-    SuiteRequest,
-    scenario_result_key,
-    suite_result_key,
-    suite_result_payload,
+from repro.utils.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "app": ("ServiceApp", "make_threaded_server", "serve"),
+        "jobs": ("Job", "JobProbe", "JobStore"),
+        "limits": ("CircuitBreaker", "CircuitOpen", "PoolSaturated", "WorkerPool"),
+        "models": (
+            "ScenarioRequest",
+            "SuiteRequest",
+            "scenario_result_key",
+            "suite_result_key",
+            "suite_result_payload",
+        ),
+    },
 )
 
 __all__ = [

@@ -17,17 +17,39 @@ already-built instance into an instance (for zero-argument factories), while
 names never die with a bare :class:`KeyError`: the error message lists the
 registered names and suggests close matches
 (:func:`difflib.get_close_matches`).
+
+An entry may be registered *lazily* (:meth:`PolicyRegistry.register_lazy`)
+as a ``"package.module:attribute"`` path: the name is known at once — for
+validation, ``choices`` and iteration — while the module is imported on the
+first lookup of the entry.  That keeps the spec layer from importing the
+schedulers and the runtime just to check a name.
 """
 
 from __future__ import annotations
 
 import difflib
+import importlib
 from collections.abc import Mapping
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
-__all__ = ["PolicyRegistry", "close_matches_hint"]
+__all__ = ["PolicyRegistry", "close_matches_hint", "load_target"]
 
 T = TypeVar("T")
+
+
+def load_target(target: str) -> object:
+    """The object a ``"package.module:attribute"`` path names (imported now)."""
+    module, _, attribute = target.partition(":")
+    return getattr(importlib.import_module(module), attribute)
+
+
+class _Lazy:
+    """A registered entry not imported yet: its ``module:attribute`` path."""
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: str):
+        self.target = target
 
 
 def close_matches_hint(name: object, allowed) -> str:
@@ -59,14 +81,28 @@ class PolicyRegistry(Mapping):
         key = name if name is not None else getattr(factory, "name", None)
         if not key:
             raise ValueError(f"cannot register {factory!r} without a name")
+        self._add(key, factory)
+        return factory
+
+    def register_lazy(self, name: str, target: str) -> None:
+        """Register the object at *target* (``"package.module:attribute"``)
+        under *name*; the module is imported on the entry's first lookup."""
+        self._add(name, _Lazy(target))
+
+    def _add(self, key: str, entry: object) -> None:
         if key in self._factories:
             raise ValueError(f"{self._kind} {key!r} is already registered")
-        self._factories[key] = factory
-        return factory
+        self._factories[key] = entry
 
     # ----------------------------------------------------------------- mapping
     def __getitem__(self, name: str) -> object:
-        return self._factories[name]
+        entry = self._factories[name]
+        if isinstance(entry, _Lazy):
+            entry = self._factories[name] = load_target(entry.target)
+        return entry
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._factories
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._factories)
@@ -94,7 +130,7 @@ class PolicyRegistry(Mapping):
         suggestions when *name* is unknown.
         """
         try:
-            return self._factories[name]
+            return self[name]
         except KeyError:
             raise KeyError(self.describe_unknown(name)) from None
 
@@ -106,10 +142,9 @@ class PolicyRegistry(Mapping):
         instance of *protocol*.
         """
         if isinstance(policy, str):
-            try:
-                return self._factories[policy]()
-            except KeyError:
-                raise ValueError(self.describe_unknown(policy)) from None
+            if policy not in self._factories:
+                raise ValueError(self.describe_unknown(policy))
+            return self[policy]()
         if protocol is None or isinstance(policy, protocol):
             return policy
         raise TypeError(

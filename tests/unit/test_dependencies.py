@@ -8,6 +8,8 @@ a function (or guarded by ``TYPE_CHECKING``) may also name an optional extra.
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 import os
 import re
 import subprocess
@@ -103,3 +105,65 @@ def test_importing_the_package_does_not_load_optional_networkx():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+#: run the CLI in this interpreter, then print the loaded modules as JSON
+_CLI_MODULES = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['repro', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('repro', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert not exc.code, exc.code\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+)
+
+
+def _cli_modules(*argv: str, env=None) -> set[str]:
+    """The modules loaded by one ``python -m repro ARGV...`` process."""
+    out = subprocess.run(
+        [sys.executable, "-c", _CLI_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC), **(env or {})},
+        check=True,
+    )
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def _loaded(modules: set[str], prefixes) -> list[str]:
+    return sorted(m for m in modules if any(m == p or m.startswith(p + ".") for p in prefixes))
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("config", "--emit")])
+def test_spec_commands_load_no_numpy_runtime_or_schedulers(argv):
+    modules = _cli_modules(*argv)
+    assert not _loaded(modules, ("numpy", "repro.runtime", "repro.core", "repro.sim"))
+
+
+def test_cached_suite_run_loads_no_scheduler_kernel_or_engine(tmp_path):
+    argv = ("suite", "run", "examples/suite.json", "--smoke", "--no-plot")
+    env = {"REPRO_CACHE_DIR": str(tmp_path)}
+    cold = _cli_modules(*argv, env=env)
+    assert "repro.core.rltf" in cold  # the cold run executed its points
+    warm = _cli_modules(*argv, env=env)
+    heavy = (
+        "repro.core", "repro.baselines", "repro.sim",
+        "repro.runtime.engine", "repro.graph.generator",
+    )
+    assert not _loaded(warm, heavy)
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["repro", "repro.utils", "repro.runtime", "repro.scenario", "repro.obs",
+     "repro.experiments", "repro.service"],
+)
+def test_lazy_package_exports_resolve(package):
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module))
+    for name in module.__all__:
+        getattr(module, name)
+    with pytest.raises(AttributeError):
+        module.no_such_export

@@ -267,6 +267,40 @@ class TestSweepResultPanels:
         assert "grid points" in render_suite(result, plot=False)
 
 
+class TestStatsOnce:
+    """A campaign's statistics are computed once, and never pickled."""
+
+    def test_reports_summarize_each_trace_once(self, monkeypatch):
+        import pickle
+
+        import repro.runtime.trace as trace_module
+        from repro.experiments.reporting import render_latency_report, render_suite
+
+        # a pickle round trip drops any statistics the run itself computed
+        result = pickle.loads(pickle.dumps(run_suite(SUITE)))
+        calls = []
+        summarize = trace_module.summarize_trace
+
+        def counting(trace):
+            calls.append(trace)
+            return summarize(trace)
+
+        monkeypatch.setattr(trace_module, "summarize_trace", counting)
+        render_suite(result)
+        render_latency_report(result)
+        assert len(calls) == SUITE.num_points * SUITE.trials
+
+    def test_reading_stats_leaves_the_pickle_unchanged(self):
+        import pickle
+
+        campaign = run_runtime_campaign(BASE, trials=2, seed=3)
+        before = pickle.dumps(campaign)
+        stats = campaign.stats
+        assert campaign.stats is stats
+        assert pickle.dumps(campaign) == before
+        assert pickle.loads(before).stats == stats
+
+
 class TestFailureRegimeSweepIsASpecialCase:
     def test_runtime_sweep_rides_on_the_generic_engine(self):
         result = run_suite(_regime_suite((30.0, 60.0), trials=1, seed=2), jobs=1)
