@@ -61,9 +61,6 @@ def append_point(trajectory: list[dict], report: dict) -> dict:
         "workload": report.get("long_stream", {}).get("workload"),
         HEADLINE: report.get(HEADLINE),
         "fast_forward_speedup": report.get("fast_forward_speedup"),
-        "incremental_speedup_multisegment": report.get(
-            "incremental_speedup_multisegment"
-        ),
         "sweep_transport_reduction": report.get("sweep_transport_bytes", {}).get(
             "reduction_factor"
         ),

@@ -287,14 +287,6 @@ _SPEC_FLAGS: tuple[tuple, ...] = (
         lambda v: None if v == 0 else v,
     ),
     (
-        "--no-checkpoint",
-        "runtime.checkpoint",
-        "disable checkpoint/restart: legacy flush-and-restart execution "
-        "(in-flight data sets do not survive a rebuild)",
-        {"action": "store_true"},
-        operator.not_,
-    ),
-    (
         "--rebuild-on-repair",
         "runtime.rebuild_on_repair",
         "anticipatory rebuilds on repair events (only when a speculative "

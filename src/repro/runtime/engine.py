@@ -31,19 +31,16 @@ injects crashes (and optionally repairs) mid-stream.  The control plane:
   every remaining data set is lost.
 
 The data plane is the shared simulation kernel
-(:class:`repro.sim.kernel.PipelineKernel`), driven in one of two modes:
-
-* ``checkpoint=True`` (default) — **true incremental execution**: one kernel
-  carries compute/transfer state across fault events.  A tolerated crash
-  cancels the dead processor's operations in place (no pipeline restart, no
-  re-paid warm-up), and a rebuild *checkpoints* the in-flight data sets:
-  their completed per-task outputs are replayed into a fresh kernel built on
-  the new schedule, so partial work survives the rebuild;
-* ``checkpoint=False`` — the historical **flush-and-restart** semantics of
-  PR 1, kept as a baseline: a data set's fate is decided at its release time,
-  each batch of releases between two control events is simulated from a cold
-  pipeline, and in-flight work is conceptually flushed at every state change.
-  Traces in this mode are bit-for-bit identical to the pre-kernel engine.
+(:class:`repro.sim.kernel.PipelineKernel`): one kernel per schedule carries
+compute/transfer state across fault events.  A tolerated crash cancels the
+dead processor's operations in place (no pipeline restart, no re-paid
+warm-up), and a rebuild *checkpoints* the in-flight data sets: their
+completed per-task outputs are replayed into a fresh kernel built on the new
+schedule, so partial work survives the rebuild.  The kernel runs with
+``retain_history=False``: completions reach the control plane only through
+the ``run_until`` drains, so a data set's book-keeping is evicted at its
+watermark and live state is bounded by the pipeline depth, not the stream
+length.
 
 The resulting :class:`~repro.runtime.trace.RuntimeTrace` is a pure function of
 ``(schedule, fault_trace, options)``: two runs with the same inputs produce
@@ -84,159 +81,6 @@ def _effective_period(schedule: Schedule) -> float:
     return schedule.max_cycle_time
 
 
-class _IncrementalExecutor:
-    """Data plane of ``checkpoint=True``: one kernel across fault events.
-
-    The kernel runs with ``retain_history=False``: completions reach the
-    control plane exclusively through the ``run_until`` drains, so a data
-    set's book-keeping is evicted at its watermark and the executor's live
-    state is bounded by the pipeline depth, not the stream length (the
-    constant-memory fast path for 10⁵+-dataset streams — bit-identical to
-    the retaining kernel, see ``tests/property``).
-    """
-
-    def __init__(self, schedule: Schedule, probe=None):
-        self._probe = probe
-        self._kernel: PipelineKernel | None = PipelineKernel(
-            schedule, retain_history=False, probe=probe
-        )
-        self._ckpt: dict[int, frozenset[str]] = {}
-
-    def kernel(self) -> PipelineKernel | None:
-        """The live kernel (``None`` mid-rebuild or after an abort) — what
-        the steady-state detector snapshots at window boundaries."""
-        return self._kernel
-
-    def admit(self, dataset: int, release: float, admit_time: float) -> None:
-        assert self._kernel is not None
-        self._kernel.admit(dataset, admit_time)
-
-    def advance(self, now, schedule, failed_cur, seg_start, tol):
-        if self._kernel is None:
-            return []
-        return self._kernel.run_until(now)
-
-    def on_tolerated_crash(self, processor: str, now: float) -> None:
-        if self._kernel is not None:
-            self._kernel.crash(processor)
-
-    def on_crash_charged(self, schedule, failed_cur, seg_start, tol):
-        return []  # the kernel handles the crash in place
-
-    def on_rebuild_start(self, now: float, pending: Iterable[int]) -> None:
-        # Checkpoint the in-flight data sets and abandon the dead pipeline:
-        # every task output produced so far is in stable storage and will be
-        # replayed into the rebuilt schedule.
-        kernel = self._kernel
-        if kernel is None:
-            return
-        for dataset in pending:
-            self._ckpt[dataset] = kernel.completed_tasks(dataset)
-        self._kernel = None
-
-    def on_rebuild_complete(self, schedule: Schedule, now: float, pending: Iterable[int]) -> None:
-        self._kernel = PipelineKernel(schedule, retain_history=False, probe=self._probe)
-        for dataset in pending:
-            self._kernel.admit_restored(dataset, now, self._ckpt.pop(dataset, ()))
-
-    def on_abort(self, now: float) -> None:
-        self._kernel = None
-        self._ckpt.clear()
-
-    def sample_gauges(self, probe, now: float) -> None:
-        """Report kernel occupancy (live / evicted data sets) to *probe*."""
-        kernel = self._kernel
-        if kernel is not None:
-            probe.on_gauges(now, kernel.live_datasets, kernel.evicted_datasets)
-
-    def finalize(self, schedule, failed_cur, seg_start, tol):
-        if self._kernel is None:
-            return []
-        return self._kernel.run_to_completion()
-
-
-class _FlushExecutor:
-    """Data plane of ``checkpoint=False``: the historical flush-and-restart.
-
-    Every batch of admissions between two control events is simulated from a
-    cold pipeline under the segment's crash set; the fate of a data set is
-    sealed the moment it is admitted (bit-for-bit the pre-kernel behaviour).
-    """
-
-    def __init__(self, schedule: Schedule, probe=None):
-        self._probe = probe
-        self._batch: list[tuple[int, float]] = []  # (dataset, admission instant)
-
-    def kernel(self) -> PipelineKernel | None:
-        return None  # cold pipelines per batch: nothing to fast-forward
-
-    def admit(self, dataset: int, release: float, admit_time: float) -> None:
-        self._batch.append((dataset, admit_time))
-
-    def _simulate(self, batch, schedule, failed_cur, seg_start):
-        kernel = PipelineKernel(schedule, frozenset(failed_cur), probe=self._probe)
-        # A data set admitted within float tolerance of the segment start can
-        # land a hair before it; clamp to keep the kernel releases
-        # non-negative (its recorded release stays exact).
-        kernel.admit_window(0, [max(0.0, t - seg_start) for _, t in batch], len(batch))
-        kernel.run_to_completion()
-        completions = []
-        for k, (dataset, _) in enumerate(batch):
-            completion = kernel.completion_of(k)
-            if completion is None:
-                raise ScheduleError(
-                    f"data set {dataset} never completed — inconsistent schedule or scenario"
-                )
-            completions.append((dataset, seg_start + completion))
-        return completions
-
-    def advance(self, now, schedule, failed_cur, seg_start, tol):
-        ready = [(j, t) for j, t in self._batch if t < now - tol]
-        if not ready or schedule is None:
-            return []
-        self._batch = [(j, t) for j, t in self._batch if t >= now - tol]
-        return self._simulate(ready, schedule, failed_cur, seg_start)
-
-    def on_tolerated_crash(self, processor: str, now: float) -> None:
-        pass  # the next batch restarts under the enlarged crash set anyway
-
-    def on_crash_charged(self, schedule, failed_cur, seg_start, tol):
-        """Seal the outstanding batch before a new crash is charged.
-
-        Queue admission can leave entries with admission instants in the
-        future (drained backlog waiting for its slot).  Their fate was sealed
-        when they were admitted, so they must be simulated under the crash
-        set of *that* moment — a later crash may destroy exit coverage and
-        the kernel would (rightly) refuse to simulate under it.  With shed
-        admission the batch is always empty here (every admission instant is
-        in the past and was flushed by the preceding advance), so the
-        historical traces are untouched.
-        """
-        if not self._batch or schedule is None:
-            return []
-        batch, self._batch = self._batch, []
-        return self._simulate(batch, schedule, failed_cur, seg_start)
-
-    def on_rebuild_start(self, now: float, pending: Iterable[int]) -> None:
-        pass  # fates were sealed at admission; nothing in flight survives
-
-    def on_rebuild_complete(self, schedule: Schedule, now: float, pending: Iterable[int]) -> None:
-        pass
-
-    def on_abort(self, now: float) -> None:
-        self._batch.clear()
-
-    def sample_gauges(self, probe, now: float) -> None:
-        """No persistent kernel here: report the sealed-but-unsimulated backlog."""
-        probe.on_gauges(now, len(self._batch), 0)
-
-    def finalize(self, schedule, failed_cur, seg_start, tol):
-        if not self._batch or schedule is None:
-            return []
-        batch, self._batch = self._batch, []
-        return self._simulate(batch, schedule, failed_cur, seg_start)
-
-
 class OnlineRuntime:
     """Discrete-event online executor (see module docstring)."""
 
@@ -249,7 +93,6 @@ class OnlineRuntime:
         rebuild_beyond_epsilon: bool = True,
         rebuild_on_repair: bool = False,
         admission: str | AdmissionPolicy = "shed",
-        checkpoint: bool = True,
         probe=None,
         fast_forward: bool = True,
         platform=None,
@@ -258,9 +101,9 @@ class OnlineRuntime:
         (:mod:`repro.sim.steady`): quiet stretches whose kernel state repeats
         window for window are skipped in closed form, bit-identically.  It
         guards itself off automatically whenever the regime is not provably
-        stationary — flush mode, bounded queue admission, a probe that does
-        not opt in, or a workload whose durations fail the exactness
-        certificate — so the flag is safe to leave on everywhere.
+        stationary — bounded queue admission, a probe that does not opt in,
+        or a workload whose durations fail the exactness certificate — so the
+        flag is safe to leave on everywhere.
 
         *platform* widens the rebuild candidate pool beyond
         ``schedule.platform`` (elastic regimes: spare processors that start
@@ -291,7 +134,6 @@ class OnlineRuntime:
         self.rebuild_overhead = float(rebuild_overhead)
         self.rebuild_beyond_epsilon = bool(rebuild_beyond_epsilon)
         self.rebuild_on_repair = bool(rebuild_on_repair)
-        self.checkpoint = bool(checkpoint)
         self.fast_forward = bool(fast_forward)
         #: optional :class:`repro.obs.probe.Probe`; ``None`` costs one pointer
         #: comparison at each instrumented site (see docs/observability.md)
@@ -330,13 +172,12 @@ class OnlineRuntime:
         admission.reset()
         probe = self.probe
         # Steady-state fast forward is only attempted where the regime can be
-        # stationary: incremental execution, an admission policy that never
-        # builds regime-changing backlog pressure (shed, or an unbounded
-        # queue), and a probe that opted into bulk callbacks.  Everything
-        # else runs the exact per-event loop unchanged.
+        # stationary: an admission policy that never builds regime-changing
+        # backlog pressure (shed, or an unbounded queue), and a probe that
+        # opted into bulk callbacks.  Everything else runs the exact
+        # per-event loop unchanged.
         ff_eligible = (
             self.fast_forward
-            and self.checkpoint
             and (probe is None or getattr(probe, "supports_fast_forward", False))
             and (
                 isinstance(admission, ShedAdmissionPolicy)
@@ -346,11 +187,13 @@ class OnlineRuntime:
                 )
             )
         )
-        executor = (
-            _IncrementalExecutor(initial, probe)
-            if self.checkpoint
-            else _FlushExecutor(initial, probe)
+        # The live kernel: None mid-rebuild and after an abort.  ckpt holds
+        # the completed per-task outputs of the data sets in flight when a
+        # rebuild started, replayed into the rebuilt schedule's kernel.
+        kernel: PipelineKernel | None = PipelineKernel(
+            initial, retain_history=False, probe=probe
         )
+        ckpt: dict[int, frozenset[str]] = {}
 
         # --- mutable runtime state
         schedule: Schedule | None = initial
@@ -362,7 +205,6 @@ class OnlineRuntime:
         dead: set[str] = {
             n for n in platform0.processor_names if n not in initial.platform
         } | set(self.fault_trace.initially_down)
-        seg_start = 0.0
         next_j = 0  # next dataset index to place
         next_slot = 0.0  # earliest admission instant (one per effective period)
         admit_period = _effective_period(initial)
@@ -375,23 +217,16 @@ class OnlineRuntime:
         abort_time = _INF
         pending: dict[int, float] = {}  # admitted, in flight: dataset -> release
 
-        # --- admission window: data sets admitted per control-loop pass in
-        # checkpoint=True mode.  Without a cap the zero-fault stream is
-        # admitted in one go and the kernel heap holds every release event of
-        # the stream at once — on 10⁵-dataset streams the heap's log factor
-        # (and its memory) then grows with the stream instead of the pipeline
-        # depth.  For the incremental executor the window is control-flow
-        # only — the admission policy sees the same on_release calls in the
-        # same order with the same arguments and the kernel processes the
-        # same events, so traces are bit-identical for any window size.  The
-        # checkpoint=False flush executor is **exempt**: it seals whatever
-        # batch has accumulated every time it advances, so an extra advance
-        # at a window boundary would split one segment's batch across two
-        # cold-pipeline simulations and lose their cross-dataset contention —
-        # flush mode therefore keeps the historical unwindowed scan (its
-        # memory is per-segment anyway).
+        # --- admission window: data sets admitted per control-loop pass.
+        # Without a cap the zero-fault stream is admitted in one go and the
+        # kernel heap holds every release event of the stream at once — on
+        # 10⁵-dataset streams the heap's log factor (and its memory) then
+        # grows with the stream instead of the pipeline depth.  The window is
+        # control flow only — the admission policy sees the same on_release
+        # calls in the same order with the same arguments and the kernel
+        # processes the same events, so traces are bit-identical for any
+        # window size.
         window = steady.DEFAULT_WINDOW
-        windowed = self.checkpoint
         # --- steady-state fast forward (see repro.sim.steady): the detector
         # watches quiet window boundaries; ff_clean tracks whether every
         # release since the last boundary was admitted at its own instant;
@@ -402,14 +237,13 @@ class OnlineRuntime:
         ff_window: list[tuple[int, float]] = []
 
         def ff_bind() -> None:
-            """(Re)attach the detector to the executor's current kernel —
-            every (re)built schedule needs its own exactness certificate."""
+            """(Re)attach the detector to the current kernel — every
+            (re)built schedule needs its own exactness certificate."""
             nonlocal ff_detector, ff_clean
             ff_detector = None
             ff_clean = True
             ff_window.clear()
-            kernel = executor.kernel() if ff_eligible else None
-            if kernel is None:
+            if kernel is None or not ff_eligible:
                 return
             grid_exp = steady.certified_grid(kernel, period, horizon)
             if grid_exp is not None:
@@ -450,11 +284,11 @@ class OnlineRuntime:
             if admit_time != release:
                 ff_clean = False  # throttled/deferred slot: not a quiet window
             pending[j] = release
-            executor.admit(j, release, admit_time)
+            kernel.admit(j, admit_time)
             next_slot = admit_time + admit_period
 
         def scan_releases(end: float) -> None:
-            """Decide the fate of data sets released in ``[seg_start, end)``."""
+            """Decide the fate of data sets released before *end*."""
             nonlocal next_j
             while next_j < num_datasets and releases[next_j] < end - tol:
                 j, r = next_j, releases[next_j]
@@ -516,20 +350,26 @@ class OnlineRuntime:
             next_slot = releases[next_j - 1] + admit_period
 
         def start_rebuild(now: float, kind: str, processor: str | None) -> None:
-            nonlocal rebuilding, rebuild_done, down_since
+            nonlocal rebuilding, rebuild_done, down_since, kernel
             rebuilding = True
             down_since = now
             rebuild_done = now + self.rebuild_overhead * period
             note(RuntimeEvent(now, kind, processor))
-            executor.on_rebuild_start(now, tuple(pending))
+            # Checkpoint the in-flight data sets and abandon the dead
+            # pipeline: every task output produced so far is in stable
+            # storage and will be replayed into the rebuilt schedule.
+            for j in pending:
+                ckpt[j] = kernel.completed_tasks(j)
+            kernel = None
 
         def abort(now: float, reason: str) -> None:
-            nonlocal aborted, schedule, abort_time
+            nonlocal aborted, schedule, abort_time, kernel
             aborted = True
             schedule = None
             abort_time = now
             note(RuntimeEvent(now, "abort", None, reason))
-            executor.on_abort(now)
+            kernel = None
+            ckpt.clear()
             ff_bind()  # no kernel left: detaches the detector
             for j, r in admission.drain():
                 lose(j, r, "lost-abort")
@@ -542,14 +382,15 @@ class OnlineRuntime:
         while True:
             next_fault = fault_events[i].time if i < len(fault_events) else _INF
             now = min(next_fault, rebuild_done, horizon)
-            if windowed and next_j + window < num_datasets:
+            if next_j + window < num_datasets:
                 now = min(now, releases[next_j + window])
             scan_releases(now)
             if now >= horizon:
-                break  # the final advance happens in executor.finalize()
-            record_completions(executor.advance(now, schedule, failed_cur, seg_start, tol))
-            if probe is not None:
-                executor.sample_gauges(probe, now)
+                break  # the final drain runs after the loop
+            if kernel is not None:
+                record_completions(kernel.run_until(now))
+                if probe is not None:
+                    probe.on_gauges(now, kernel.live_datasets, kernel.evicted_datasets)
             if now < rebuild_done and now < next_fault:
                 # window boundary only: admit + advance, no control event —
                 # exactly the quiet cadence the steady-state detector watches
@@ -586,7 +427,11 @@ class OnlineRuntime:
                         failed_cur = set()
                         admit_period = _effective_period(schedule)
                         next_slot = now
-                        executor.on_rebuild_complete(schedule, now, tuple(pending))
+                        kernel = PipelineKernel(
+                            schedule, retain_history=False, probe=probe
+                        )
+                        for j in pending:
+                            kernel.admit_restored(j, now, ckpt.pop(j, ()))
                         drain_admission()
                         note(
                             RuntimeEvent(
@@ -598,7 +443,6 @@ class OnlineRuntime:
                             )
                         )
                         ff_bind()  # fresh kernel: re-certify and re-warm
-                seg_start = now
                 continue
 
             event = fault_events[i]
@@ -618,9 +462,6 @@ class OnlineRuntime:
                 if event.processor not in used:
                     note(RuntimeEvent(now, "crash-unused", event.processor))
                     continue
-                record_completions(
-                    executor.on_crash_charged(schedule, failed_cur, seg_start, tol)
-                )
                 failed_cur.add(event.processor)
                 valid = valid_replicas_under_failures(schedule, failed_cur)
                 survives = all(valid[t] for t in graph.exit_tasks())
@@ -634,11 +475,9 @@ class OnlineRuntime:
                             f"{len(failed_cur)}/{schedule.epsilon} crashes absorbed",
                         )
                     )
-                    executor.on_tolerated_crash(event.processor, now)
-                    seg_start = now
+                    kernel.crash(event.processor)
                 else:
                     start_rebuild(now, "crash-rebuild", event.processor)
-                    seg_start = now
             elif event.is_join:
                 # A join adds capacity (an elastic spare, or a preempted spot
                 # node returning): unlike a repair it always probes whether a
@@ -653,7 +492,6 @@ class OnlineRuntime:
                     )
                     if improves:
                         start_rebuild(now, "join-rebuild", event.processor)
-                        seg_start = now
                     else:
                         note(
                             RuntimeEvent(now, "join-rebuild-skipped", event.processor, why)
@@ -668,7 +506,6 @@ class OnlineRuntime:
                     )
                     if improves:
                         start_rebuild(now, "repair-rebuild", event.processor)
-                        seg_start = now
                     else:
                         note(
                             RuntimeEvent(now, "repair-rebuild-skipped", event.processor, why)
@@ -684,9 +521,10 @@ class OnlineRuntime:
             if probe is not None:
                 probe.on_span("abort", abort_time, horizon)
 
-        record_completions(executor.finalize(schedule, failed_cur, seg_start, tol))
-        if probe is not None:
-            executor.sample_gauges(probe, horizon)
+        if kernel is not None:
+            record_completions(kernel.run_to_completion())
+            if probe is not None:
+                probe.on_gauges(horizon, kernel.live_datasets, kernel.evicted_datasets)
         if pending:
             # The data plane was abandoned mid-rebuild and the horizon ended
             # before a new schedule could replay the checkpointed data sets.
@@ -708,7 +546,6 @@ class OnlineRuntime:
             final_alive=tuple(p for p in platform0.processor_names if p not in dead),
             policy=self.policy.name,
             admission=admission.name,
-            checkpoint=self.checkpoint,
         )
 
     # ------------------------------------------------------------- repair probe
@@ -758,7 +595,6 @@ def run_online(
     policy: str | ReschedulePolicy = "rltf",
     rebuild_overhead: float = 1.0,
     admission: str | AdmissionPolicy = "shed",
-    checkpoint: bool = True,
     probe=None,
     fast_forward: bool = True,
     platform=None,
@@ -770,7 +606,6 @@ def run_online(
         policy=policy,
         rebuild_overhead=rebuild_overhead,
         admission=admission,
-        checkpoint=checkpoint,
         probe=probe,
         fast_forward=fast_forward,
         platform=platform,

@@ -91,10 +91,8 @@ class RuntimeTrace:
     aborted: bool
     final_alive: tuple[str, ...]
     policy: str
-    #: admission policy name and execution mode of the run (see
-    #: :mod:`repro.runtime.admission` and :mod:`repro.runtime.engine`).
+    #: admission policy name of the run (see :mod:`repro.runtime.admission`).
     admission: str = "shed"
-    checkpoint: bool = True
 
     # ------------------------------------------------------------------ counts
     @property

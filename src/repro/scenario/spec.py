@@ -12,7 +12,7 @@ of pure-data dataclasses:
 * :class:`FaultSpec` — the stochastic failure regime (mttf/mttr, distribution,
   Weibull shape, trace seed);
 * :class:`RuntimeSpec` — the online-runtime options (rescheduling and
-  admission policies by name, checkpoint mode, rebuild behaviour).
+  admission policies by name, rebuild behaviour).
 
 Because a spec is pure data it serializes losslessly to JSON
 (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`, see
@@ -92,7 +92,24 @@ def _check_options(options, owner: str) -> dict:
         all(isinstance(k, str) for k in options),
         f"{owner}.options keys must be strings",
     )
+    for key, value in options.items():
+        _require(
+            not _non_finite(value),
+            f"{owner}.options.{key} must be finite, got {value!r}",
+        )
     return dict(options)
+
+
+def _non_finite(value) -> bool:
+    """Whether *value* is or contains a NaN/infinite float (JSON has no
+    spelling for them; bools and ints are always finite)."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, Mapping):
+        return any(_non_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_non_finite(v) for v in value)
+    return False
 
 
 @dataclass(frozen=True)
@@ -367,7 +384,7 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class RuntimeSpec:
-    """Options of the online runtime (stream length, policies, checkpointing).
+    """Options of the online runtime (stream length, policies, rebuilds).
 
     ``policy`` and ``admission`` name entries of the runtime policy registries
     (:data:`~repro.runtime.policies.RESCHEDULE_POLICIES`,
@@ -378,7 +395,6 @@ class RuntimeSpec:
     policy: str = "rltf"
     admission: str = "shed"
     queue_capacity: int | None = 64
-    checkpoint: bool = True
     rebuild_on_repair: bool = False
     rebuild_overhead: float = 1.0
     fast_forward: bool = True
@@ -396,10 +412,6 @@ class RuntimeSpec:
                 f"runtime.queue_capacity must be an int >= 1 or null, "
                 f"got {self.queue_capacity!r}",
             )
-        _require(
-            isinstance(self.checkpoint, bool),
-            f"runtime.checkpoint must be a bool, got {self.checkpoint!r}",
-        )
         _require(
             isinstance(self.rebuild_on_repair, bool),
             f"runtime.rebuild_on_repair must be a bool, got {self.rebuild_on_repair!r}",

@@ -255,7 +255,7 @@ def trace_fingerprint(trace: "RuntimeTrace") -> str:
     digest.update(
         f"{trace.period!r}|{trace.horizon!r}|{trace.num_rebuilds}|"
         f"{trace.downtime!r}|{trace.aborted}|{trace.policy}|"
-        f"{trace.admission}|{trace.checkpoint}|{','.join(trace.final_alive)}".encode()
+        f"{trace.admission}|{','.join(trace.final_alive)}".encode()
     )
     return digest.hexdigest()
 

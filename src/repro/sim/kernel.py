@@ -18,11 +18,9 @@ Three admission methods share this loop:
 * :meth:`PipelineKernel.admit_window` admits a window of a stream of known
   length, replica-major, with sequence numbers preassigned from the data set
   index — so admitting the stream in one window or in many pops events in the
-  same order.  Every batch driver uses it: the offline
-  :class:`~repro.failures.simulator.StreamingSimulator` (window by window,
-  which lets the steady-state fast path of :mod:`repro.sim.steady` snapshot
-  at window boundaries) and the online runtime's flush-and-restart executor
-  (one window per cold-pipeline batch);
+  same order.  The offline :class:`~repro.failures.simulator.StreamingSimulator`
+  drives it window by window, which lets the steady-state fast path of
+  :mod:`repro.sim.steady` snapshot at window boundaries;
 * :meth:`PipelineKernel.admit` admits one data set at a time, dataset-major,
   as one merged ``_RELEASE_ALL`` event — what the online runtime does between
   fault events.  Its sequence number is drawn at admission time, after the
@@ -52,10 +50,9 @@ Memory model — the ``retain_history`` flag
 ------------------------------------------
 
 By default (``retain_history=True``) the kernel keeps the full per-dataset
-book-keeping of every data set it ever saw: ``completions`` /
-:meth:`completion_of` answer for the whole run, which is what the offline
-simulator's :class:`~repro.failures.simulator.SimulationResult` is built
-from.  That state grows linearly with the stream, and on 10⁵+-dataset streams
+book-keeping of every data set it ever saw: :attr:`completions` answers for
+the whole run, which is what the offline simulator's
+:class:`~repro.failures.simulator.SimulationResult` is built from.  That state grows linearly with the stream, and on 10⁵+-dataset streams
 the dictionary churn — not the event arithmetic — dominates the run time.
 
 ``retain_history=False`` turns on **watermark-based eviction**: the kernel
@@ -66,9 +63,9 @@ the per-replica ``received``/``finished``/``done`` entries, the exit-task
 ledger, the admission record and the completion entry.  Live state is then
 bounded by the number of in-flight data sets (the pipeline depth), not the
 stream length.  Completions are reported **only** through the
-:meth:`run_until` / :meth:`run_to_completion` drains — ``completion_of``
-returns ``None`` once a data set has been evicted — and re-admitting a
-retired index raises (indices at or below the highest evicted index are
+:meth:`run_until` / :meth:`run_to_completion` drains — :attr:`completions`
+omits a data set once it has been evicted — and re-admitting a retired index
+raises (indices at or below the highest evicted index are
 rejected, the constant-memory stand-in for the per-dataset duplicate check).  Eviction is pure book-keeping: every event is processed
 identically in both modes, so the drained completions are bit-for-bit equal
 (property-tested in ``tests/property``).
@@ -239,11 +236,6 @@ class PipelineKernel:
     def completions(self) -> dict[int, float]:
         """Completion instant of every completed, non-evicted data set."""
         return dict(self._completion)
-
-    def completion_of(self, dataset: int) -> float | None:
-        """Completion instant of *dataset* (``None`` while in flight — or,
-        with ``retain_history=False``, once it has been evicted)."""
-        return self._completion.get(dataset)
 
     def pending_datasets(self) -> tuple[int, ...]:
         """Admitted data sets that have not completed yet, in admission order."""

@@ -183,7 +183,7 @@ def test_eviction_watermark_tracks_live_state():
     assert kernel.peak_live_datasets < 64  # eviction ran *during* the stream
     kernel.run_to_completion()
     assert kernel.evicted_datasets == 64
-    assert kernel.completion_of(0) is None  # history is gone, by design
+    assert kernel.completions == {}  # history is gone, by design
     assert kernel.pending_datasets() == ()
 
 

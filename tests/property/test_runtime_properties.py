@@ -9,11 +9,7 @@ Invariants promised by the design:
 * with **at most ε crashes** charged against the initial schedule, active
   replication absorbs every failure: no rebuild happens and no data set is
   ever lost — with *either* admission policy (``queue`` with an unbounded
-  buffer loses nothing that shed would have kept);
-* with **checkpointing disabled** the engine reproduces the historical
-  flush-and-restart traces exactly: each batch of releases between two state
-  changes is simulated from a cold pipeline (checked against a direct
-  StreamingSimulator oracle).
+  buffer loses nothing that shed would have kept).
 """
 
 from __future__ import annotations
@@ -147,58 +143,3 @@ def test_queue_admission_unbounded_loses_nothing_within_epsilon(data, num_datase
     assert trace.lost_count == 0
     assert trace.completed_count == num_datasets
     assert trace.admission == "queue"
-
-
-# ------------------------------------- checkpoint off ≡ flush-and-restart trace
-def _flush_and_restart_oracle(schedule, victim: str, crash_time: float, num_datasets: int):
-    """Reference flush-and-restart records for one tolerated crash.
-
-    The historical engine cuts the stream at the crash: data sets released
-    strictly before it are simulated from a cold pipeline under no failures;
-    data sets released after it are simulated from a *new* cold pipeline under
-    the crash set, with releases measured from the crash instant.  Every data
-    set is admitted (one crash within ε never sheds), so the oracle is a pair
-    of StreamingSimulator batches.
-    """
-    period = schedule.period
-    tol = 1e-9 * period
-    releases = [j * period for j in range(num_datasets)]
-    before = [j for j in range(num_datasets) if releases[j] < crash_time - tol]
-    after = [j for j in range(num_datasets) if j not in before]
-    completions: dict[int, float] = {}
-    if before:
-        sim = StreamingSimulator(schedule).run(
-            len(before), release_times=[releases[j] for j in before]
-        )
-        for k, j in enumerate(before):
-            completions[j] = sim.completion_times[k]
-    if after:
-        sim = StreamingSimulator(schedule, frozenset([victim])).run(
-            len(after),
-            release_times=[max(0.0, releases[j] - crash_time) for j in after],
-        )
-        for k, j in enumerate(after):
-            completions[j] = crash_time + sim.completion_times[k]
-    return completions
-
-
-@SLOW
-@given(data=st.data(), num_datasets=st.integers(min_value=4, max_value=20))
-def test_checkpoint_disabled_equals_flush_and_restart_trace(data, num_datasets):
-    used = sorted(_EPS1.used_processors())
-    victim = data.draw(st.sampled_from(used))
-    when = data.draw(
-        st.floats(min_value=0.25, max_value=float(num_datasets) - 0.25)
-    )
-    crash_time = when * _EPS1.period
-    events = (FaultEvent(crash_time, victim, "crash"),)
-    trace = OnlineRuntime(
-        _EPS1,
-        FaultTrace(events, horizon=num_datasets * _EPS1.period),
-        checkpoint=False,
-    ).run(num_datasets)
-    oracle = _flush_and_restart_oracle(_EPS1, victim, crash_time, num_datasets)
-    assert trace.completed_count == num_datasets
-    for record in trace.records:
-        assert record.completed
-        assert record.completion == oracle[record.index]

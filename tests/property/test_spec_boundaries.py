@@ -6,8 +6,10 @@ failed mid-run, or ran with an infinite mttf) and ints must not be bools
 (JSON ``true`` ran one data set and hashed to another cache key than ``1``).
 Every scenario dict :meth:`Session.from_dict` accepts must pass ``config``
 and round-trip through its ``--emit`` output; every non-finite or bool value
-of a numeric field must be rejected by ``Session.from_dict``, by
-``config --scenario`` (exit 2) and by ``POST /v1/scenarios`` (4xx).
+of a numeric field — and every non-finite ``workload.options`` or
+``scheduler.options`` value — must be rejected by ``Session.from_dict``, by
+``config --scenario`` (exit 2) and by ``POST /v1/scenarios`` (4xx).  Removed
+fields (``runtime.checkpoint``) fail the same way at every boundary.
 """
 
 from __future__ import annotations
@@ -134,3 +136,28 @@ def test_non_finite_and_bool_values_are_rejected_everywhere(path, value, capsys,
 def test_reported_cases(section, field, value):
     with pytest.raises(SpecificationError, match=f"{section}.{field}"):
         ScenarioSpec.from_dict(_with(f"{section}.{field}", value))
+
+
+@pytest.mark.parametrize("owner", ["workload", "scheduler"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, [1.0, math.inf]])
+def test_non_finite_option_values_are_rejected_everywhere(owner, value, capsys, app):
+    path = f"{owner}.options.k"
+    data = _with(f"{owner}.options", {"k": value})
+    with pytest.raises(SpecificationError, match=path):
+        Session.from_dict(data)
+    code, _, err = _config(data, capsys=capsys)
+    assert code == 2 and path in err
+    assert 400 <= _post_status(app, "/v1/scenarios", {"scenario": data}) < 500
+
+
+def test_removed_checkpoint_field_is_rejected_at_every_boundary(capsys, app):
+    data = _with("runtime.checkpoint", False)
+    with pytest.raises(SpecificationError, match="checkpoint"):
+        Session.from_dict(data)
+    code, _, err = _config(data, capsys=capsys)
+    assert code == 2 and "checkpoint" in err and "Traceback" not in err
+    assert _post_status(app, "/v1/scenarios", {"scenario": data}) == 422
+    with pytest.raises(SystemExit) as exit_info:
+        main(["runtime", "--no-checkpoint"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-checkpoint" in capsys.readouterr().err

@@ -95,7 +95,6 @@ def _legacy_run_trial(spec: ScenarioSpec, seed: int):
         rebuild_overhead=options.rebuild_overhead,
         rebuild_on_repair=options.rebuild_on_repair,
         admission=admission,
-        checkpoint=options.checkpoint,
     )
     return runtime.run(options.num_datasets)
 

@@ -181,7 +181,7 @@ def test_docs_cover_the_fast_forward_surface():
                  "--no-fast-forward"):
         assert name in performance, f"performance.md misses {name}"
     # the guard conditions must be spelled out, not just the happy path
-    for guard in ("checkpoint=False", "queue_capacity", "supports_fast_forward"):
+    for guard in ("queue_capacity", "supports_fast_forward"):
         assert guard in performance, f"performance.md misses guard {guard}"
     observability = (REPO / "docs" / "observability.md").read_text()
     for name in ("on_fast_forward", "supports_fast_forward",

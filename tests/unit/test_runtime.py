@@ -244,11 +244,10 @@ class TestAdmissionPolicies:
         lost_in_shed = [r.index for r in shed.records if r.status == "lost-downtime"]
         assert all(queued.records[j].completed for j in lost_in_shed)
 
-    def test_queue_backlog_survives_later_crashes_in_flush_mode(self, replicated):
+    def test_queue_backlog_survives_later_crashes(self, replicated):
         """Regression: drained backlog entries wait for future slots; a later
-        coverage-destroying crash must not make the flush executor simulate
-        them under the new crash set (the kernel would refuse) — their fate
-        was sealed at admission."""
+        coverage-destroying crash must neither lose track of them nor leave
+        a data set without a record."""
         period = replicated.period
         used = replicated.used_processors()
         events = (
@@ -257,17 +256,15 @@ class TestAdmissionPolicies:
             FaultEvent(19.5 * period, used[2], "crash"),
         )
         faults = FaultTrace(events, horizon=60 * period)
-        for checkpoint in (False, True):
-            trace = OnlineRuntime(
-                replicated,
-                faults,
-                rebuild_overhead=4.0,
-                admission=QueueAdmissionPolicy(capacity=None),
-                checkpoint=checkpoint,
-            ).run(60)
-            assert trace.num_datasets == 60
-            assert trace.num_rebuilds >= 1
-            assert all(r is not None for r in trace.records)
+        trace = OnlineRuntime(
+            replicated,
+            faults,
+            rebuild_overhead=4.0,
+            admission=QueueAdmissionPolicy(capacity=None),
+        ).run(60)
+        assert trace.num_datasets == 60
+        assert trace.num_rebuilds >= 1
+        assert all(r is not None for r in trace.records)
 
     def test_bounded_queue_overflows_to_lost_overflow(self, replicated):
         p1, p2 = replicated.used_processors()[:2]
@@ -432,24 +429,19 @@ class TestOnlineRuntime:
             ),
             horizon=40 * period,
         )
-        ckpt = OnlineRuntime(replicated, faults, rebuild_overhead=2.0, checkpoint=True).run(40)
-        flush = OnlineRuntime(replicated, faults, rebuild_overhead=2.0, checkpoint=False).run(40)
-        assert ckpt.checkpoint and not flush.checkpoint
-        # both modes lose the same data sets to downtime (admission is shared)
-        assert ckpt.lost_by_reason() == flush.lost_by_reason()
-        assert ckpt.num_rebuilds == flush.num_rebuilds == 1
-        # in-flight data sets at the crash survive the rebuild in both
-        # accountings, but the incremental engine really interleaves: the
-        # first data sets released after the tolerated crash keep their
-        # pipeline position instead of restarting a cold pipeline
-        assert ckpt.completed_count == flush.completed_count
-
-    def test_checkpoint_mode_zero_faults_equals_flush_mode(self, replicated):
-        empty = empty_trace(replicated, 15)
-        a = OnlineRuntime(replicated, empty, checkpoint=True).run(15)
-        b = OnlineRuntime(replicated, empty, checkpoint=False).run(15)
-        assert a.latencies == b.latencies
-        assert a.records[:15] == b.records[:15]
+        trace = OnlineRuntime(replicated, faults, rebuild_overhead=2.0).run(40)
+        assert trace.lost_by_reason() == {"lost-downtime": 2}
+        assert trace.num_rebuilds == 1
+        assert trace.completed_count == 38
+        # the data sets in flight when the rebuild started are replayed from
+        # their checkpoints and complete on the rebuilt schedule
+        (started,) = trace.events_of_kind("crash-rebuild")
+        (done,) = trace.events_of_kind("rebuild-complete")
+        replayed = [
+            r.index for r in trace.records
+            if r.release < started.time and r.completed and r.completion > done.time
+        ]
+        assert replayed == [9, 10, 11, 12]
 
     def test_remap_policy_runs_online(self, replicated):
         p1, p2 = replicated.used_processors()[:2]
@@ -591,7 +583,7 @@ class TestRuntimeCli:
         [
             [],
             ["--admission", "queue", "--queue-capacity", "0"],
-            ["--no-checkpoint", "--no-fast-forward"],
+            ["--no-fast-forward"],
             ["--spares", "1", "--join-periods", "3", "--preempt-periods", "20"],
             ["--fault-trace", str(TRACE_CSV)],
             ["--mttr", "10", "--repair-shape", "2", "--distribution", "weibull"],
@@ -694,7 +686,7 @@ class TestGoldenSeedResults:
                 trace.final_alive,
                 trace.policy,
                 trace.admission,
-                trace.checkpoint,
+                True,  # the removed checkpoint flag, kept so the goldens stay frozen
             )
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -725,10 +717,7 @@ class TestGoldenSeedResults:
 
 class TestAdmissionWindowInvariance:
     """The control-loop admission window is a transport knob, never semantics:
-    checkpoint=True traces are identical for any window size, and
-    checkpoint=False (flush-and-restart, whose batches must never be split at
-    a window boundary) bypasses the window entirely — its traces stay
-    bit-identical to the historical unwindowed engine.
+    traces are identical for any window size.
     """
 
     @staticmethod
@@ -742,35 +731,14 @@ class TestAdmissionWindowInvariance:
         events = (FaultEvent(2.5 * schedule.period, victim, "crash"),)
         return schedule, FaultTrace(events, horizon=n * schedule.period), n
 
-    @pytest.mark.parametrize("checkpoint", [True, False])
-    def test_window_size_never_changes_traces(self, checkpoint, monkeypatch):
+    def test_window_size_never_changes_traces(self, monkeypatch):
         from repro.sim import steady
 
         schedule, faults, n = self._crashy_case()
-        run = lambda: OnlineRuntime(
-            schedule, faults, checkpoint=checkpoint, rebuild_beyond_epsilon=False
-        ).run(n)
+        run = lambda: OnlineRuntime(schedule, faults, rebuild_beyond_epsilon=False).run(n)
         reference = run()
         monkeypatch.setattr(steady, "DEFAULT_WINDOW", 10)
         tiny = run()
         monkeypatch.setattr(steady, "DEFAULT_WINDOW", 10**9)
         unwindowed = run()
         assert tiny == reference == unwindowed
-
-    def test_flush_mode_golden(self):
-        """Fingerprint verified equal to the pre-fast-path engine (HEAD of
-        PR 4) on this exact scenario — the flush executor's batch-sealing
-        semantics must keep reproducing the historical traces."""
-        import hashlib
-
-        schedule, faults, n = self._crashy_case()
-        trace = OnlineRuntime(
-            schedule, faults, checkpoint=False, rebuild_beyond_epsilon=False
-        ).run(n)
-        blob = repr(
-            (trace.records, trace.events, trace.downtime, trace.num_rebuilds)
-        )
-        assert (
-            hashlib.sha256(blob.encode()).hexdigest()
-            == "101d259acd1803e36880e2827d6d31ece72e7420ed220e9a2be076d4e0969dac"
-        )

@@ -86,7 +86,6 @@ _runtimes = st.builds(
     policy=st.sampled_from(RESCHEDULE_POLICIES.names),
     admission=st.sampled_from(ADMISSION_POLICIES.names),
     queue_capacity=st.one_of(st.none(), st.integers(1, 256)),
-    checkpoint=st.booleans(),
     rebuild_on_repair=st.booleans(),
     rebuild_overhead=st.floats(0.0, 10.0),
 )

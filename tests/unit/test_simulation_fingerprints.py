@@ -8,7 +8,7 @@ cover both stream drivers and both memory models: the offline simulator with
 fast-forward on and off, grid (integer-duration) and full-mantissa float
 schedules at ε ∈ {0, 1, 2}, crash scenarios, explicit release lists with
 coincident releases (some straddling an admission-window boundary), and the
-online runtime in both checkpoint modes under crashes, repairs and rebuilds.
+online runtime under crashes, repairs and rebuilds.
 
 Regenerate (only for a deliberate change of results, with the reason in
 CHANGES.md)::
@@ -103,11 +103,9 @@ def _offline(schedule, n, scenario=(), fast_forward=True, release_times=None) ->
     )
 
 
-def _online(schedule, n, events, checkpoint, probe=None, **options) -> str:
+def _online(schedule, n, events, probe=None, **options) -> str:
     faults = FaultTrace(tuple(events), horizon=n * schedule.period)
-    trace = OnlineRuntime(
-        schedule, faults, checkpoint=checkpoint, probe=probe, **options
-    ).run(n)
+    trace = OnlineRuntime(schedule, faults, probe=probe, **options).run(n)
     payload = (trace.records, trace.events, trace.downtime, trace.num_rebuilds)
     if probe is not None:
         payload += (probe.registry.as_dict(),)
@@ -181,28 +179,22 @@ def _cases():
     float_faults = [
         FaultEvent(10.5 * fperiod, p, "crash") for p in _victims(fpaired, 3)
     ] + [FaultEvent(60.0 * fperiod, _victims(fpaired, 1)[0], "repair")]
-    for checkpoint in (True, False):
-        tag = "ckpt" if checkpoint else "flush"
-        yield f"online/grid-strict-eps1/quiet-crash/n1600/{tag}", lambda c=checkpoint: _online(
-            grid1, 1600, quiet_crash, c, rebuild_beyond_epsilon=False
-        )
-        yield f"online/grid-strict-eps1/rebuild/n700/{tag}", lambda c=checkpoint: _online(
-            grid1, 700, rebuild, c
-        )
-        yield f"online/grid-strict-eps1/rebuild-queue/n400/{tag}", lambda c=checkpoint: _online(
-            grid1, 400, rebuild, c, admission="queue", rebuild_on_repair=True
-        )
-        yield f"online/float-eps2/faults/n150/{tag}", lambda c=checkpoint: _online(
-            fpaired, 150, float_faults, c
-        )
+    yield "online/grid-strict-eps1/quiet-crash/n1600/ckpt", lambda: _online(
+        grid1, 1600, quiet_crash, rebuild_beyond_epsilon=False
+    )
+    yield "online/grid-strict-eps1/rebuild/n700/ckpt", lambda: _online(grid1, 700, rebuild)
+    yield "online/grid-strict-eps1/rebuild-queue/n400/ckpt", lambda: _online(
+        grid1, 400, rebuild, admission="queue", rebuild_on_repair=True
+    )
+    yield "online/float-eps2/faults/n150/ckpt", lambda: _online(fpaired, 150, float_faults)
     yield "online/grid-strict-eps1/quiet-crash/n1600/ckpt-noff", lambda: _online(
-        grid1, 1600, quiet_crash, True, rebuild_beyond_epsilon=False, fast_forward=False
+        grid1, 1600, quiet_crash, rebuild_beyond_epsilon=False, fast_forward=False
     )
     yield "online/grid-strict-eps1/zero-fault/n3000/probed", lambda: _online(
-        grid1, 3000, [], True, probe=MetricsProbe()
+        grid1, 3000, [], probe=MetricsProbe()
     )
     yield "online/grid-strict-eps1/quiet-crash/n1600/probed", lambda: _online(
-        grid1, 1600, quiet_crash, True, probe=MetricsProbe(), rebuild_beyond_epsilon=False
+        grid1, 1600, quiet_crash, probe=MetricsProbe(), rebuild_beyond_epsilon=False
     )
 
 

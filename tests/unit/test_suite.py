@@ -94,7 +94,7 @@ class TestSuiteSpec:
         with pytest.raises(SpecificationError, match="duplicate value"):
             BASE.grid({"faults.mttf_periods": [50.0, 50.0]})
         with pytest.raises(SpecificationError, match="duplicate value"):
-            SuiteSpec(axes={"runtime.checkpoint": [True, 1]})
+            SuiteSpec(axes={"runtime.rebuild_on_repair": [True, 1]})
 
     def test_equality_is_axis_order_sensitive(self):
         """Axis order fixes grid order and per-point seeds: reordered axes
